@@ -3,9 +3,10 @@
 Runs the same Fig. 8-style sizing sweep three ways and compares
 wall-clock:
 
-1. the serial seed path -- :func:`sweep_pass_transistor` directly,
-   no engine, exactly what the pre-engine benchmarks executed;
-2. cold cache through ``ParallelRunner(jobs=4)``;
+1. the serial path -- one :func:`measure_routing_batch` call per wire
+   length, no engine;
+2. cold cache through ``ParallelRunner(jobs=4)``, one
+   ``fig_sweep_batch`` job per wire length;
 3. warm cache through a fresh runner sharing the same cache dir.
 
 The warm-cache re-run must be at least 10x faster than the serial
@@ -13,40 +14,37 @@ path (cache hits skip simulation entirely).  The cold-cache parallel
 run must be at least 2x faster when the host has >= 4 usable cores;
 on fewer cores that bound is physically unattainable and the check is
 skipped with an explanatory message.  Either way the engine's numbers
-must be bit-identical to the serial seed path.
-
-The sweep pins ``impl="scalar"``: this benchmark measures the
-*engine's* parallel fan-out, which needs one job per sweep point and
-bit-identical numbers vs the serial scalar path.  The batched tensor
-engine collapses the grid into a single job (and its banded solve is
-only tolerance-identical); its speedup has its own acceptance driver
-in :mod:`test_vectorized_speedup`.
+must be bit-identical to the serial path.
 """
 
 import os
 import time
 
-from repro.circuit.experiments import run_fig_sweep
-from repro.circuit.interconnect import sweep_pass_transistor
-from repro.exp import ParallelRunner, ResultCache
+from repro.circuit.interconnect import measure_routing_batch
+from repro.exp import JobSpec, ParallelRunner, ResultCache
 
 WIDTHS = [1.0, 2.0, 4.0, 8.0]
 LENGTHS = [1, 2, 4]
 DT = 4e-12
+METAL = {"metal_width": 1.0, "metal_spacing": 1.0}
 
 
 def _engine_sweep(cache):
     runner = ParallelRunner(jobs=4, cache=cache)
+    specs = [JobSpec.make("fig_sweep_batch",
+                          points=[[w, length] for w in WIDTHS],
+                          dt=DT, **METAL)
+             for length in LENGTHS]
     t0 = time.perf_counter()
-    sweep = run_fig_sweep("fig8", widths=WIDTHS, wire_lengths=LENGTHS,
-                          dt=DT, runner=runner, impl="scalar")
-    return sweep, time.perf_counter() - t0
+    rows = runner.run_values(specs)
+    return rows, time.perf_counter() - t0
 
 
-def test_engine_speedup_vs_serial_seed_path(tmp_path):
+def test_engine_speedup_vs_serial_path(tmp_path):
     t0 = time.perf_counter()
-    serial = sweep_pass_transistor(WIDTHS, LENGTHS, metal_width=1.0,
-                                   metal_spacing=1.0, dt=DT)
+    serial = [measure_routing_batch([(w, length) for w in WIDTHS],
+                                    dt=DT, **METAL)
+              for length in LENGTHS]
     t_serial = time.perf_counter() - t0
 
     cache_dir = tmp_path / "cache"
@@ -57,7 +55,7 @@ def test_engine_speedup_vs_serial_seed_path(tmp_path):
     # Identical numbers on every path, cold and warm.
     assert cold == serial
     assert warm == serial
-    assert warm_cache.hits == len(WIDTHS) * len(LENGTHS)
+    assert warm_cache.hits == len(LENGTHS)
 
     speedup_warm = t_serial / t_warm
     speedup_cold = t_serial / t_cold

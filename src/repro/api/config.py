@@ -2,8 +2,8 @@
 
 Historically each subsystem read its own environment variables at its
 own call site with its own fallback semantics (``repro.exp.runner``,
-``repro.exp.cache``, ``repro.exp.pool``, ``repro.obs.live``,
-``repro.impls``, the CLI).  :class:`Config` gathers them into one
+``repro.exp.cache``, ``repro.exp.pool``, ``repro.obs.live``, the
+CLI).  :class:`Config` gathers them into one
 documented, typed dataclass with one construction rule:
 
     **explicit argument > environment variable > built-in default**
@@ -38,10 +38,6 @@ field                  environment variable    meaning
 ``hb_interval_s``      ``REPRO_HB_INTERVAL``   heartbeat period
 ``trace``              ``REPRO_TRACE``         span-trace JSONL path
 ``run_db``             ``REPRO_RUN_DB``        run-history SQLite path
-``sim_impl``           ``REPRO_SIM_IMPL``      transient engine selector
-``place_impl``         ``REPRO_PLACE_IMPL``    placer cost selector
-``route_impl``         ``REPRO_ROUTE_IMPL``    router cost selector
-``scalar_oracle``      ``REPRO_SCALAR_ORACLE`` force every scalar oracle
 =====================  ======================  ==========================
 
 The CLI and the job server both build their runtime from here (see
@@ -148,13 +144,6 @@ def _env_hb_interval() -> float:
     return value if value > 0 else 0.5
 
 
-def _env_impl(name: str) -> str:
-    from .. import impls
-    raw = os.environ.get(name, "").strip().lower()
-    return raw if raw in (impls.SCALAR, impls.BATCHED,
-                          impls.INCREMENTAL) else "auto"
-
-
 @dataclass(frozen=True)
 class Config:
     """Resolved runtime configuration (see module docstring).
@@ -177,10 +166,6 @@ class Config:
     hb_interval_s: float = 0.5
     trace: str | None = None
     run_db: str | None = None
-    sim_impl: str = "auto"
-    place_impl: str = "auto"
-    route_impl: str = "auto"
-    scalar_oracle: bool = False
 
     def __post_init__(self):
         if self.pool not in ("persistent", "per-job"):
@@ -217,10 +202,6 @@ class Config:
             "hb_interval_s": _env_hb_interval(),
             "trace": _env_str("REPRO_TRACE"),
             "run_db": _env_str("REPRO_RUN_DB"),
-            "sim_impl": _env_impl("REPRO_SIM_IMPL"),
-            "place_impl": _env_impl("REPRO_PLACE_IMPL"),
-            "route_impl": _env_impl("REPRO_ROUTE_IMPL"),
-            "scalar_oracle": _env_bool("REPRO_SCALAR_ORACLE", False),
         }
         for name, value in overrides.items():
             if value is not UNSET:
@@ -260,14 +241,6 @@ class Config:
             out["REPRO_TRACE"] = str(self.trace)
         if self.run_db:
             out["REPRO_RUN_DB"] = str(self.run_db)
-        if self.sim_impl != "auto":
-            out["REPRO_SIM_IMPL"] = self.sim_impl
-        if self.place_impl != "auto":
-            out["REPRO_PLACE_IMPL"] = self.place_impl
-        if self.route_impl != "auto":
-            out["REPRO_ROUTE_IMPL"] = self.route_impl
-        if self.scalar_oracle:
-            out["REPRO_SCALAR_ORACLE"] = "1"
         return out
 
     # ------------------------------------------------------------------

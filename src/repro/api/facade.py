@@ -34,35 +34,22 @@ from .types import JobRequest, RequestError, Result
 __all__ = ["submit"]
 
 
-def _impl_for(cfg: Config) -> str | None:
-    """The explicit sim-impl choice encoded by a config, if any."""
-    if cfg.scalar_oracle:
-        return "scalar"
-    return cfg.sim_impl if cfg.sim_impl != "auto" else None
-
-
-def _experiment_value(request: JobRequest, cfg: Config,
-                      runner) -> dict[str, Any]:
+def _experiment_value(request: JobRequest, runner) -> dict[str, Any]:
     """Run one paper sweep; return the CLI-identical JSON rows."""
     from ..circuit import experiments as exp_mod
     what = request.experiment
-    impl = _impl_for(cfg)
     dt = request.dt
     if what == "table1":
-        rows: Any = exp_mod._run_table1(dt=dt or 1e-12, runner=runner,
-                                        impl=impl)
+        rows: Any = exp_mod._run_table1(dt=dt or 1e-12, runner=runner)
     elif what == "table2":
-        rows = exp_mod._run_table2(dt=dt or 1e-12, runner=runner,
-                                   impl=impl)
+        rows = exp_mod._run_table2(dt=dt or 1e-12, runner=runner)
     elif what == "table3":
-        rows = exp_mod._run_table3(dt=dt or 1e-12, runner=runner,
-                                   impl=impl)
+        rows = exp_mod._run_table3(dt=dt or 1e-12, runner=runner)
     else:
         fig = "fig9" if what == "tristate" else what
         switch = "tbuf" if what == "tristate" else "pass"
         sweep = exp_mod._run_fig_sweep(fig, switch_type=switch,
-                                       dt=dt or 2e-12, runner=runner,
-                                       impl=impl)
+                                       dt=dt or 2e-12, runner=runner)
         rows = [{"wire_len": length, "width_x": m.width_mult,
                  "energy_fJ": m.energy / 1e-15,
                  "delay_ps": m.delay / 1e-12,
@@ -100,9 +87,7 @@ def _flow_value(request: JobRequest, cfg: Config) -> dict[str, Any]:
     options = flow_mod.FlowOptions(
         arch=arch, seed=request.seed,
         min_channel_width=request.min_channel_width,
-        use_cache=cfg.cache, cache_dir=cfg.cache_dir,
-        place_impl="scalar" if cfg.scalar_oracle else cfg.place_impl,
-        route_impl="scalar" if cfg.scalar_oracle else cfg.route_impl)
+        use_cache=cfg.cache, cache_dir=cfg.cache_dir)
     if request.vhdl is not None:
         res = flow_mod._run_flow(request.vhdl, options)
     else:
@@ -126,7 +111,7 @@ def submit(request: JobRequest, *, config: Config | None = None,
     """Execute one typed request in-process and return its result.
 
     ``config`` resolves execution policy (worker count, caching,
-    implementation selection); ``None`` reads the environment via
+    scheduler); ``None`` reads the environment via
     :meth:`Config.from_env`.  ``runner`` overrides the experiment
     engine runner outright (tests, servers sharing a warm pool).
 
@@ -142,7 +127,7 @@ def submit(request: JobRequest, *, config: Config | None = None,
         runner = cfg.runner()
     t0 = time.perf_counter()
     if request.kind == "experiment":
-        value: Any = _experiment_value(request, cfg, runner)
+        value: Any = _experiment_value(request, runner)
     else:
         value = _flow_value(request, cfg)
     return Result(kind=request.kind, value=value,

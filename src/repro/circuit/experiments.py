@@ -22,16 +22,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .. import impls, obs
+from .. import obs
 from ..exp import JobSpec, ParallelRunner, default_runner
 from .batchsim import simulate_batch
 from .clockgate import GatedClockSetup, build_ble_clock, build_clb_clock
 from .flipflops import DETFF_VARIANTS
-from .interconnect import (RoutingMeasurement, measure_routing_batch,
-                           sweep_pass_transistor)
+from .interconnect import RoutingMeasurement
 from .metrics import crossing_times, worst_case_delay
 from .network import Circuit
-from .simulator import simulate
 from .technology import Technology, STM018
 from .waveforms import fig4_stimulus
 
@@ -89,25 +87,17 @@ def _detff_row(name: str, res, tech: Technology) -> dict[str, float]:
     }
 
 
-def characterize_detff(name: str, *, tech: Technology = STM018,
-                       dt: float = 1e-12) -> dict[str, float]:
-    """Characterise one DETFF with the Fig. 4 stimulus.
-
-    Returns total supply energy over the sequence, worst-case
-    clock-to-Q delay over all edge/data combinations, their product,
-    and a functional-correctness flag (Q equals D-at-edge after every
-    clock edge).
-    """
-    ckt, t_end = _detff_circuit(name, tech)
-    res = simulate(ckt, t_end, dt=dt)
-    return _detff_row(name, res, tech)
-
-
 def characterize_detff_batch(names: list[str], *,
                              tech: Technology = STM018,
                              dt: float = 1e-12
                              ) -> list[dict[str, float]]:
-    """Characterise several DETFFs in one batched transient run."""
+    """Characterise several DETFFs in one batched transient run.
+
+    Each row holds total supply energy over the Fig. 4 sequence,
+    worst-case clock-to-Q delay over all edge/data combinations, their
+    product, and a functional-correctness flag (Q equals D-at-edge
+    after every clock edge).
+    """
     built = [_detff_circuit(name, tech) for name in names]
     results = simulate_batch([c for c, _ in built],
                              [t for _, t in built], dt=dt)
@@ -154,55 +144,31 @@ def _values(specs: list[JobSpec], runner: ParallelRunner | None,
 
 
 def _run_table1(*, tech: Technology = STM018, dt: float = 1e-12,
-                runner: ParallelRunner | None = None,
-                impl: str | None = None) -> list[dict[str, float]]:
+                runner: ParallelRunner | None = None
+                ) -> list[dict[str, float]]:
     """Table 1: all five DETFF candidates, in the paper's row order.
 
-    With the (default) batched implementation all five flip-flops run
-    as one tensor-shaped transient inside a single job; the scalar
-    oracle fans out one job per variant.  The resolved implementation's
-    version tag is a job parameter, so the two paths can never share a
-    cache entry.
+    All five flip-flops run as one tensor-shaped transient inside a
+    single job.
     """
-    impl = impls.sim_impl(impl)
-    tag = impls.impl_version("sim", impl)
-    if impl == impls.BATCHED:
-        spec = JobSpec.make("detff_batch", chunkable=False,
-                            names=list(DETFF_VARIANTS),
-                            tech=tech, dt=dt, sim_version=tag)
-        (rows,) = _values([spec], runner, "table1")
-        return rows
-    specs = [JobSpec.make("detff", name=name, tech=tech, dt=dt,
-                          sim_version=tag)
-             for name in DETFF_VARIANTS]
-    return _values(specs, runner, "table1")
-
-
-def _cycle_energy(setup: GatedClockSetup, dt: float) -> float:
-    """Supply energy over one steady-state clock period (J)."""
-    res = simulate(setup.circuit, setup.t_sim, dt=dt)
-    return res.energy_between(setup.t_start, setup.t_end)
+    spec = JobSpec.make("detff_batch", chunkable=False,
+                        names=list(DETFF_VARIANTS), tech=tech, dt=dt)
+    (rows,) = _values([spec], runner, "table1")
+    return rows
 
 
 def _clock_cell_energies(configs: list[dict], dt: float,
-                         runner: ParallelRunner | None, driver: str,
-                         impl: str | None) -> list[float]:
-    """Table 2/3 energies: one batched job or one job per config."""
-    impl = impls.sim_impl(impl)
-    tag = impls.impl_version("sim", impl)
-    if impl == impls.BATCHED:
-        spec = JobSpec.make("clock_cells_batch", chunkable=False,
-                            configs=configs, dt=dt, sim_version=tag)
-        (energies,) = _values([spec], runner, driver)
-        return energies
-    specs = [JobSpec.make("clock_cell", dt=dt, sim_version=tag, **cfg)
-             for cfg in configs]
-    return _values(specs, runner, driver)
+                         runner: ParallelRunner | None,
+                         driver: str) -> list[float]:
+    """Table 2/3 energies, all configurations in one batched job."""
+    spec = JobSpec.make("clock_cells_batch", chunkable=False,
+                        configs=configs, dt=dt)
+    (energies,) = _values([spec], runner, driver)
+    return energies
 
 
 def _run_table2(*, dt: float = 1e-12,
-                runner: ParallelRunner | None = None,
-                impl: str | None = None) -> dict[str, float]:
+                runner: ParallelRunner | None = None) -> dict[str, float]:
     """Table 2: BLE-level single vs gated clock energies (fJ/cycle).
 
     Returns single-clock energy, gated energy with enable=1 and
@@ -216,7 +182,7 @@ def _run_table2(*, dt: float = 1e-12,
          "data_active": False},
     ]
     e_single, e_gate1, e_gate0 = _clock_cell_energies(
-        configs, dt, runner, "table2", impl)
+        configs, dt, runner, "table2")
     return {
         "single_fJ": e_single / 1e-15,
         "gated_en1_fJ": e_gate1 / 1e-15,
@@ -227,14 +193,13 @@ def _run_table2(*, dt: float = 1e-12,
 
 
 def _run_table3(*, dt: float = 1e-12,
-                runner: ParallelRunner | None = None,
-                impl: str | None = None) -> list[dict[str, float]]:
+                runner: ParallelRunner | None = None
+                ) -> list[dict[str, float]]:
     """Table 3: CLB-level single vs gated clock for three conditions."""
     conditions = (("all_off", 0), ("one_on", 1), ("all_on", 5))
     configs = [{"level": "clb", "gated": gated, "n_on": n_on}
                for _, n_on in conditions for gated in (False, True)]
-    energies = iter(_clock_cell_energies(configs, dt, runner,
-                                         "table3", impl))
+    energies = iter(_clock_cell_energies(configs, dt, runner, "table3"))
     rows = []
     for label, n_on in conditions:
         e_single = next(energies)
@@ -271,17 +236,13 @@ def _run_fig_sweep(fig: str, *, widths: list[float] | None = None,
                    switch_type: str = "pass",
                    tech: Technology = STM018,
                    dt: float = 2e-12,
-                   runner: ParallelRunner | None = None,
-                   impl: str | None = None
+                   runner: ParallelRunner | None = None
                    ) -> dict[int, list[RoutingMeasurement]]:
     """Figs. 8/9/10 (or the 3.3.2 buffer study): EDA vs switch width.
 
-    ``fig`` is one of ``"fig8"``, ``"fig9"``, ``"fig10"``.  With the
-    (default) batched implementation the whole grid runs as a single
-    tensor-shaped job; with the scalar oracle every (wire length,
-    width) point is an independent job fanned out across the runner's
-    workers.  Rows come back grouped by wire length with widths in the
-    order given either way.
+    ``fig`` is one of ``"fig8"``, ``"fig9"``, ``"fig10"``.  The whole
+    grid runs as a single tensor-shaped job; rows come back grouped by
+    wire length with widths in the order given.
     """
     if fig not in FIG_METAL_CONFIGS:
         raise ValueError(f"unknown figure {fig!r}")
@@ -291,23 +252,12 @@ def _run_fig_sweep(fig: str, *, widths: list[float] | None = None,
     if switch_type == "tbuf":
         # The paper caps buffers at 16x minimum.
         widths = [w for w in widths if w <= 16.0]
-    impl = impls.sim_impl(impl)
-    tag = impls.impl_version("sim", impl)
-    if impl == impls.BATCHED:
-        points = [[w, length]
-                  for length in wire_lengths for w in widths]
-        spec = JobSpec.make("fig_sweep_batch", chunkable=False,
-                            points=points, switch_type=switch_type,
-                            tech=tech, dt=dt, sim_version=tag, **cfg)
-        (rows,) = _values([spec], runner, fig)
-        values = iter(rows)
-    else:
-        specs = [JobSpec.make("fig_point", width_mult=w,
-                              wire_length=length,
-                              switch_type=switch_type, tech=tech,
-                              dt=dt, sim_version=tag, **cfg)
-                 for length in wire_lengths for w in widths]
-        values = iter(_values(specs, runner, fig))
+    points = [[w, length] for length in wire_lengths for w in widths]
+    spec = JobSpec.make("fig_sweep_batch", chunkable=False,
+                        points=points, switch_type=switch_type,
+                        tech=tech, dt=dt, **cfg)
+    (rows,) = _values([spec], runner, fig)
+    values = iter(rows)
     return {length: [next(values) for _ in widths]
             for length in wire_lengths}
 

@@ -14,7 +14,7 @@ Typical use::
     from repro.exp import JobSpec, ParallelRunner
 
     runner = ParallelRunner(jobs=4)
-    specs = [JobSpec.make("fig_point", width_mult=w, wire_length=4)
+    specs = [JobSpec.make("fig_sweep_batch", points=[[w, 4]])
              for w in (1.0, 2.0, 4.0)]
     points = runner.run_values(specs)
 

@@ -28,7 +28,7 @@ This module provides the throughput-oriented alternative:
 
 The legacy process-per-job scheduler stays selectable
 (``pool="per-job"`` / ``REPRO_POOL=per-job``) as the isolation-maximal
-oracle, mirroring the :mod:`repro.impls` pattern for compute kernels.
+alternative.
 """
 
 from __future__ import annotations

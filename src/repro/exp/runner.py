@@ -62,10 +62,8 @@ from .jobspec import JobSpec
 __all__ = ["JobError", "JobFailedError", "JobResult", "ParallelRunner",
            "default_runner"]
 
-#: Environment knobs honoured by :func:`default_runner` (and therefore
-#: by every experiment driver that does not pass an explicit runner).
-ENV_JOBS = "REPRO_JOBS"
-ENV_NO_CACHE = "REPRO_NO_CACHE"
+#: Environment knobs a :class:`ParallelRunner` falls back to when the
+#: matching constructor argument is not given.
 ENV_JOB_TIMEOUT = "REPRO_JOB_TIMEOUT"
 ENV_POOL = "REPRO_POOL"
 ENV_CHUNK = "REPRO_CHUNK"
@@ -79,8 +77,6 @@ _POOL_MODES = (POOL_PERSISTENT, POOL_PER_JOB)
 #: stragglers still load-balance.
 CHUNK_MAX = 32
 CHUNK_OVERSUBSCRIBE = 4
-
-_TRUTHY = ("1", "true", "yes", "on")
 
 
 @dataclass(frozen=True)

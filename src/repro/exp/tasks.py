@@ -8,19 +8,12 @@ rebuild the registry from a bare interpreter.
 
 Kinds
 -----
-``detff``             one Table 1 flip-flop characterisation row
-``detff_batch``       all Table 1 flip-flops, one batched transient
-``clock_cell``        one Table 2/3 clock-network energy measurement (J)
-``clock_cells_batch`` several clock configurations, one batched run
-``fig_point``         one Fig. 8-10 / tri-state sizing point
-``fig_sweep_batch``   a whole Fig. 8-10 sizing grid, one batched run
+``detff_batch``       Table 1 flip-flops, one batched transient
+``clock_cells_batch`` Table 2/3 clock-network energies (J), one batched run
+``fig_sweep_batch``   a Fig. 8-10 / tri-state sizing grid (or any subset
+                      of its points), one batched run
 ``flow``              one complete VHDL-to-bitstream flow (condensed)
 ``selftest``          trivial built-in probe for engine tests
-
-The batch kinds and the ``sim_version`` parameter of the per-point
-kinds exist so the content-addressed cache keys always encode which
-transient-engine implementation produced a value: batched results can
-never alias scalar-oracle ones.
 """
 
 from __future__ import annotations
@@ -97,17 +90,8 @@ def _selftest(x: float = 1.0, fail: bool = False,
 # Platform-side experiments (tables and figures)
 # ---------------------------------------------------------------------------
 
-@task("detff")
-def _detff(name: str, tech=None, dt: float = 1e-12,
-           sim_version: str = "") -> dict[str, float]:
-    from ..circuit.experiments import characterize_detff
-    from ..circuit.technology import STM018
-    return characterize_detff(name, tech=tech or STM018, dt=dt)
-
-
 @task("detff_batch")
-def _detff_batch(names, tech=None, dt: float = 1e-12,
-                 sim_version: str = "") -> list:
+def _detff_batch(names, tech=None, dt: float = 1e-12) -> list:
     """All requested DETFFs, one batched transient run."""
     from ..circuit.experiments import characterize_detff_batch
     from ..circuit.technology import STM018
@@ -115,49 +99,19 @@ def _detff_batch(names, tech=None, dt: float = 1e-12,
                                     dt=dt)
 
 
-@task("clock_cell")
-def _clock_cell(level: str, gated: bool, dt: float = 1e-12,
-                enable: int | None = None, data_active: bool = True,
-                n_on: int | None = None,
-                sim_version: str = "") -> float:
-    """Steady-state energy of one clock-network configuration (J)."""
-    from ..circuit.experiments import clock_cell_setup
-    from ..circuit.simulator import simulate
-    setup = clock_cell_setup(level, gated, enable=enable,
-                             data_active=data_active, n_on=n_on)
-    res = simulate(setup.circuit, setup.t_sim, dt=dt)
-    return res.energy_between(setup.t_start, setup.t_end)
-
-
 @task("clock_cells_batch")
-def _clock_cells_batch(configs, dt: float = 1e-12,
-                       sim_version: str = "") -> list:
+def _clock_cells_batch(configs, dt: float = 1e-12) -> list:
     """Several clock-network configurations, one batched run."""
     from ..circuit.experiments import clock_cell_energies_batch
     return clock_cell_energies_batch([dict(cfg) for cfg in configs],
                                      dt=dt)
 
 
-@task("fig_point")
-def _fig_point(width_mult: float, wire_length: int, *,
-               metal_width: float = 1.0, metal_spacing: float = 1.0,
-               switch_type: str = "pass", tech=None,
-               dt: float = 2e-12, sim_version: str = ""):
-    from ..circuit.interconnect import measure_routing
-    from ..circuit.technology import STM018
-    return measure_routing(width_mult=width_mult,
-                           wire_length=wire_length,
-                           metal_width=metal_width,
-                           metal_spacing=metal_spacing,
-                           switch_type=switch_type,
-                           tech=tech or STM018, dt=dt)
-
-
 @task("fig_sweep_batch")
 def _fig_sweep_batch(points, *, metal_width: float = 1.0,
                      metal_spacing: float = 1.0,
                      switch_type: str = "pass", tech=None,
-                     dt: float = 2e-12, sim_version: str = "") -> list:
+                     dt: float = 2e-12) -> list:
     """A whole (width, wire-length) sizing grid, one batched run."""
     from ..circuit.interconnect import measure_routing_batch
     from ..circuit.technology import STM018
@@ -175,8 +129,7 @@ def _fig_sweep_batch(points, *, metal_width: float = 1.0,
 def _flow(vhdl: str, *, seed: int = 1, place_effort: float = 1.0,
           min_channel_width: bool = False, gated_clock: bool = True,
           f_clk_hz: float | None = None, arch=None,
-          use_cache: bool = True, place_impl: str = "auto",
-          route_impl: str = "auto") -> dict[str, Any]:
+          use_cache: bool = True) -> dict[str, Any]:
     """Run the full flow; return a condensed, picklable QoR record."""
     from ..arch import DEFAULT_ARCH
     from ..flow.flow import FlowOptions, _run_flow
@@ -184,8 +137,7 @@ def _flow(vhdl: str, *, seed: int = 1, place_effort: float = 1.0,
                           place_effort=place_effort,
                           min_channel_width=min_channel_width,
                           gated_clock=gated_clock, f_clk_hz=f_clk_hz,
-                          use_cache=use_cache, place_impl=place_impl,
-                          route_impl=route_impl)
+                          use_cache=use_cache)
     res = _run_flow(vhdl, options)
     return {
         "summary": res.summary(),

@@ -30,7 +30,7 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .. import impls, obs
+from .. import obs
 from ..arch import (ArchParams, DEFAULT_ARCH, build_rr_graph,
                     generate_arch_file)
 from ..bitgen import generate_bitstream
@@ -66,8 +66,6 @@ class FlowOptions:
     work_dir: str | None = None       # write artifacts here if set
     use_cache: bool = True            # content-addressed stage cache
     cache_dir: str | None = None      # None -> REPRO_CACHE_DIR default
-    place_impl: str = "auto"          # repro.impls: scalar | incremental
-    route_impl: str = "auto"
 
 
 @dataclass
@@ -154,12 +152,6 @@ class DesignFlow:
         self._fp: str = ""   # running content fingerprint of the flow
 
     # -- helpers -------------------------------------------------------
-    def _timed(self, stage: str, fn):
-        t0 = time.perf_counter()
-        out = fn()
-        self.result.stage_seconds[stage] = time.perf_counter() - t0
-        return out
-
     def _seed_fingerprint(self, tag: str, text: str) -> None:
         """Anchor the stage-key chain on the input artifact's content."""
         self._fp = hashlib.sha256(
@@ -259,11 +251,17 @@ class DesignFlow:
         self.result.name = clean.name
 
     def translation(self) -> None:
-        """Stage 3: E2FMT + SIS + T-VPack -> packed netlist."""
+        """Stage 3: E2FMT + SIS + T-VPack -> packed netlist.
+
+        A flow entered at the BLIF level already has
+        ``self.result.logic``; E2FMT is skipped and SIS starts from it.
+        """
         opts = self.options
 
         def run():
-            logic = structural_to_logic(self.result.structural)
+            logic = self.result.logic
+            if logic is None:
+                logic = structural_to_logic(self.result.structural)
             mapped = optimize_and_map(logic, opts.arch.k)
             cn = pack_netlist(mapped.network, n=opts.arch.n,
                               i=opts.arch.inputs_per_clb,
@@ -274,10 +272,11 @@ class DesignFlow:
             qor=lambda v: {"luts": len(v[1].nodes),
                            "ffs": len(v[1].latches),
                            "clbs": len(v[2].clusters)})
-        self._save("e2fmt.blif", write_blif(logic))
-        self._save("sis_mapped.blif", write_blif(mapped_net))
-        self._save("tvpack.net", write_net(cn))
-        self._save("dutys.arch", generate_arch_file(opts.arch))
+        if self._work is not None:
+            self._save("e2fmt.blif", write_blif(logic))
+            self._save("sis_mapped.blif", write_blif(mapped_net))
+            self._save("tvpack.net", write_net(cn))
+            self._save("dutys.arch", generate_arch_file(opts.arch))
         (self.result.logic, self.result.mapped,
          self.result.clustered) = logic, mapped_net, cn
 
@@ -287,30 +286,18 @@ class DesignFlow:
 
         def run():
             pl = place(self.result.clustered, opts.arch,
-                       seed=opts.seed, effort=opts.place_effort,
-                       impl=opts.place_impl)
+                       seed=opts.seed, effort=opts.place_effort)
             if opts.min_channel_width:
-                w, rr, g = route_min_channel_width(
-                    pl, opts.arch, impl=opts.route_impl)
+                w, rr, g = route_min_channel_width(pl, opts.arch)
             else:
                 g = build_rr_graph(opts.arch, pl.grid_size)
-                rr = route(pl, g, impl=opts.route_impl)
+                rr = route(pl, g)
                 if not rr.success:
-                    w, rr, g = route_min_channel_width(
-                        pl, opts.arch, impl=opts.route_impl)
+                    w, rr, g = route_min_channel_width(pl, opts.arch)
             return pl, rr, g
-        # The resolved impl versions join the stage key so results
-        # from one implementation can never alias another's cache
-        # entry (both impls are exact today, but the key must not
-        # rely on that invariant).
-        impl_tags = (
-            impls.impl_version("place", impls.place_impl(opts.place_impl)),
-            impls.impl_version("route", impls.route_impl(opts.route_impl)),
-        )
         pl, rr, g = self._cached_stage(
             "place_route",
-            (opts.seed, opts.place_effort, opts.min_channel_width,
-             *impl_tags), run,
+            (opts.seed, opts.place_effort, opts.min_channel_width), run,
             qor=lambda v: {"grid": v[0].grid_size,
                            "bbox_cost": round(v[0].cost, 2),
                            "channel_width": v[1].channel_width,
@@ -413,23 +400,11 @@ def _run_flow_from_logic(logic: LogicNetwork,
                          options: FlowOptions | None = None) -> FlowResult:
     """Run the flow starting from a BLIF-level network (skips HDL)."""
     flow = DesignFlow(options)
-    opts = flow.options
     with obs.span("flow.run") as sp:
         flow.result.name = logic.name
         flow.result.logic = logic
         flow._seed_fingerprint("blif", write_blif(logic))
-
-        def run():
-            mapped = optimize_and_map(logic, opts.arch.k)
-            cn = pack_netlist(mapped.network, n=opts.arch.n,
-                              i=opts.arch.inputs_per_clb, k=opts.arch.k)
-            return mapped.network, cn
-        (flow.result.mapped,
-         flow.result.clustered) = flow._cached_stage(
-            "translation", (opts.arch,), run,
-            qor=lambda v: {"luts": len(v[0].nodes),
-                           "ffs": len(v[0].latches),
-                           "clbs": len(v[1].clusters)})
+        flow.translation()
         flow.place_and_route()
         flow.power_estimation()
         flow.program()

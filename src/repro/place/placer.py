@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .. import impls, obs
+from .. import obs
 from ..arch.fabric import FabricGrid, Site
 from ..arch.params import ArchParams
 from ..pack.cluster import ClusteredNetlist
@@ -73,55 +73,6 @@ def wirelength_cost(placement: dict[str, Site],
     return sum(_net_bbox_cost(placement, net) for net in nets.values())
 
 
-class _ScalarCost:
-    """Reference cost model: full per-net bbox recompute on every move.
-
-    This is the original (oracle) implementation; ``_IncrementalCost``
-    must reproduce its accept/reject decisions bit-for-bit, so every
-    float operation here defines the contract: deltas accumulate
-    left-to-right over ``sorted(affected)`` and the drift-cancel total
-    sums ``net_cost`` in nets-dict insertion order.
-    """
-
-    def __init__(self, loc: dict[str, Site], nets: dict[str, dict],
-                 nets_of: dict[str, list[str]]):
-        self.loc = loc
-        self.nets = nets
-        self.nets_of = nets_of
-        self.net_cost = {name: _net_bbox_cost(loc, net)
-                         for name, net in nets.items()}
-        self.evals = 0
-        self._old: dict[str, float] = {}
-
-    def affected(self, block: str, other: str | None) -> list[str]:
-        # Sorted order so the float delta sums identically regardless
-        # of PYTHONHASHSEED; set order would make accept decisions
-        # (and thus the whole placement) vary between processes.
-        s = set(self.nets_of.get(block, ()))
-        if other is not None:
-            s |= set(self.nets_of.get(other, ()))
-        return sorted(s)
-
-    def trial(self, affected: list[str], moves) -> float:
-        self.evals += len(affected)
-        net_cost = self.net_cost
-        old = {n: net_cost[n] for n in affected}
-        delta = 0.0
-        for n in affected:
-            new = _net_bbox_cost(self.loc, self.nets[n])
-            delta += new - old[n]
-            net_cost[n] = new
-        self._old = old
-        return delta
-
-    def revert(self, affected: list[str], moves) -> None:
-        for n, c in self._old.items():
-            self.net_cost[n] = c
-
-    def total(self) -> float:
-        return sum(self.net_cost.values())
-
-
 class _IncrementalCost:
     """O(pins-moved) cost model with per-net running bbox bounds.
 
@@ -131,10 +82,11 @@ class _IncrementalCost:
     only the nets touching the moved blocks in O(1), rescanning an
     axis over the net's members only when a boundary count drops to
     zero.  Net ids are assigned in sorted-name order so iterating ids
-    ascending reproduces the scalar model's ``sorted(affected)``
+    ascending reproduces a from-scratch model's ``sorted(affected)``
     float-summation order exactly; spans stay python ints and costs
     are the same ``q * span`` product, so every delta is bit-identical
-    to :class:`_ScalarCost`.
+    to recomputing each affected net's bbox (the reference model lives
+    in ``tests/oracles/place.py``).
     """
 
     def __init__(self, loc: dict[str, Site], nets: dict[str, dict]):
@@ -164,8 +116,8 @@ class _IncrementalCost:
             self.bounds[i] = [mnx, xs.count(mnx), mxx, xs.count(mxx),
                               mny, ys.count(mny), mxy, ys.count(mxy),
                               self.q[i] * span]
-        # Drift-cancel totals must sum in nets-dict insertion order to
-        # match the scalar model's sum(net_cost.values()).
+        # Drift-cancel totals sum in nets-dict insertion order, the
+        # same order as wirelength_cost().
         self._order = [self.idx[n] for n in nets]
         self.evals = 0
         self._snap: list[tuple[int, list]] = []
@@ -287,16 +239,12 @@ class _IncrementalCost:
 
 def place(cn: ClusteredNetlist, arch: ArchParams, *,
           grid_size: int | None = None, seed: int = 1,
-          effort: float = 1.0, impl: str | None = None) -> Placement:
+          effort: float = 1.0) -> Placement:
     """Place a clustered netlist; returns the final :class:`Placement`.
 
     ``effort`` scales the moves-per-temperature count (1.0 = the VPR
-    default ``10 * n_blocks^1.33``).  ``impl`` picks the cost model
-    (:data:`repro.impls.SCALAR` oracle or the default
-    :data:`repro.impls.INCREMENTAL`); both produce identical
-    placements for the same seed.
+    default ``10 * n_blocks^1.33``).
     """
-    impl = impls.place_impl(impl)
     rng = random.Random(seed)
     nets = cn.nets()
 
@@ -329,20 +277,14 @@ def place(cn: ClusteredNetlist, arch: ArchParams, *,
     free_sites = {"clb": [s for s in clb_sites[len(clb_blocks):]],
                   "io": [s for s in io_sites[len(io_blocks):]]}
 
-    # Net membership per block for incremental cost updates.
-    nets_of: dict[str, list[str]] = {}
-    for name, net in nets.items():
-        for b in {net["driver"], *net["sinks"]}:
-            nets_of.setdefault(b, []).append(name)
-
-    if impl == impls.INCREMENTAL:
-        model = _IncrementalCost(loc, nets)
-    else:
-        model = _ScalarCost(loc, nets, nets_of)
+    model = _IncrementalCost(loc, nets)
     cost = model.total()
 
+    # Blocks on no net never move.
+    on_net = {b for net in nets.values()
+              for b in (net["driver"], *net["sinks"])}
     blocks = clb_blocks + io_blocks
-    movable = [b for b in blocks if nets_of.get(b)]
+    movable = [b for b in blocks if b in on_net]
     if not movable or not nets:
         obs.emit("place.anneal", blocks=len(blocks), nets=len(nets),
                  grid=grid_size, seed=seed, temps=0, moves=0,
@@ -403,8 +345,7 @@ def place(cn: ClusteredNetlist, arch: ArchParams, *,
     ms = obs.metrics.metric_set()
     ms.counter("place.moves", n_moves)
     ms.gauge("place.bbox_cost", round(cost, 3))
-    if impl == impls.INCREMENTAL:
-        ms.counter("place.incremental_evals", model.evals)
+    ms.counter("place.incremental_evals", model.evals)
     return Placement(arch, grid_size, loc, cost, nets)
 
 

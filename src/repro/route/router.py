@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .. import impls, obs
+from .. import obs
 from ..arch.params import ArchParams
 from ..arch.rrgraph import RRGraph, build_rr_graph
 from ..place.placer import Placement
@@ -84,136 +84,21 @@ def _capacity(g: RRGraph, idx: int) -> int:
 
 def route(placement: Placement, g: RRGraph, *,
           max_iterations: int = 40, pres_fac_mult: float = 1.6,
-          acc_fac: float = 0.5,
-          impl: str | None = None) -> RoutingResult:
-    """Route every net of a placement over the RR graph.
-
-    ``impl`` picks the cost bookkeeping (:data:`repro.impls.SCALAR`
-    oracle or the default :data:`repro.impls.INCREMENTAL`); both
-    produce identical routing trees.
-    """
-    impl = impls.route_impl(impl)
+          acc_fac: float = 0.5) -> RoutingResult:
+    """Route every net of a placement over the RR graph."""
     with obs.span("route.pathfinder", nets=len(placement.nets),
                   channel_width=g.arch.channel_width) as sp:
-        if impl == impls.INCREMENTAL:
-            result, searches = _route_all_incremental(
-                placement, g, max_iterations=max_iterations,
-                pres_fac_mult=pres_fac_mult, acc_fac=acc_fac)
-        else:
-            result = _route_all(placement, g,
-                                max_iterations=max_iterations,
-                                pres_fac_mult=pres_fac_mult,
-                                acc_fac=acc_fac)
-            searches = 0
+        result, searches = _route_all_incremental(
+            placement, g, max_iterations=max_iterations,
+            pres_fac_mult=pres_fac_mult, acc_fac=acc_fac)
         sp.set_attr(success=result.success,
                     iterations=result.iterations,
                     overused=result.overused)
     ms = obs.metrics.metric_set()
     ms.counter("route.iterations", result.iterations)
     ms.gauge("route.overused", result.overused)
-    if impl == impls.INCREMENTAL:
-        ms.counter("route.heap_reuse", searches)
+    ms.counter("route.heap_reuse", searches)
     return result
-
-
-def _route_all(placement: Placement, g: RRGraph, *,
-               max_iterations: int, pres_fac_mult: float,
-               acc_fac: float) -> RoutingResult:
-    nets = placement.nets
-    # Net terminals in rr-node space.
-    terminals: dict[str, tuple[int, list[int]]] = {}
-    for name, net in nets.items():
-        src_site = placement.loc[net["driver"]]
-        src = g.source_of(src_site)
-        sinks = [g.sink_of(placement.loc[b]) for b in net["sinks"]]
-        terminals[name] = (src, sinks)
-
-    n = g.n_nodes()
-    occ = [0] * n
-    hist = [1.0] * n
-    cap = [_capacity(g, i) for i in range(n)]
-    trees: dict[str, RouteTree] = {}
-    pres_fac = 0.5
-
-    # Route larger nets first (harder to route); break sink-count ties
-    # by name so the schedule never depends on dict insertion order.
-    order = sorted(nets, key=lambda nm: (-len(nets[nm]["sinks"]), nm))
-
-    for it in range(1, max_iterations + 1):
-        for name in order:
-            src, sinks = terminals[name]
-            old = trees.pop(name, None)
-            if old is not None:
-                for node in old.parents:
-                    occ[node] -= 1
-            tree = _route_net(g, src, sinks, occ, hist, cap, pres_fac)
-            for node in tree.parents:
-                occ[node] += 1
-            trees[name] = tree
-
-        overused = sum(1 for i in range(n) if occ[i] > cap[i])
-        if overused == 0:
-            return RoutingResult(True, it, trees,
-                                 g.arch.channel_width)
-        for i in range(n):
-            if occ[i] > cap[i]:
-                hist[i] += acc_fac * (occ[i] - cap[i])
-        pres_fac *= pres_fac_mult
-
-    return RoutingResult(False, max_iterations, trees,
-                         g.arch.channel_width, overused)
-
-
-def _route_net(g: RRGraph, src: int, sinks: list[int], occ, hist, cap,
-               pres_fac: float) -> RouteTree:
-    """Route one net: sequential Dijkstra from the growing tree."""
-    tree = RouteTree("", src, {src: -1})
-    remaining = [s for s in sinks]
-    # De-duplicate sinks (two sinks on the same block share a SINK node
-    # but consume two pins; routing once suffices for connectivity).
-    seen: set[int] = set()
-    remaining = [s for s in remaining
-                 if not (s in seen or seen.add(s))]
-
-    nodes = g.nodes
-    for target in remaining:
-        # Dijkstra seeded with every node already in the tree at cost 0.
-        dist: dict[int, float] = {}
-        prev: dict[int, int] = {}
-        heap: list[tuple[float, int]] = []
-        for t_node in tree.parents:
-            dist[t_node] = 0.0
-            heapq.heappush(heap, (0.0, t_node))
-        found = False
-        while heap:
-            d, u = heapq.heappop(heap)
-            if d > dist.get(u, float("inf")):
-                continue
-            if u == target:
-                found = True
-                break
-            for v in nodes[u].edges:
-                node_v = nodes[v]
-                if node_v.kind == "SINK" and v != target:
-                    continue
-                over = occ[v] + 1 - cap[v]
-                p = 1.0 + (pres_fac * over if over > 0 else 0.0)
-                c = _BASE_COST[node_v.kind] * hist[v] * p
-                ndist = d + c
-                if ndist < dist.get(v, float("inf")):
-                    dist[v] = ndist
-                    prev[v] = u
-                    heapq.heappush(heap, (ndist, v))
-        if not found:
-            raise RuntimeError(
-                "routing graph disconnected: sink unreachable "
-                "(channel width too small for even one net?)")
-        # Walk back and add the path to the tree.
-        node = target
-        while node not in tree.parents:
-            tree.parents[node] = prev[node]
-            node = prev[node]
-    return tree
 
 
 def _route_all_incremental(placement: Placement, g: RRGraph, *,
@@ -222,9 +107,10 @@ def _route_all_incremental(placement: Placement, g: RRGraph, *,
                            ) -> tuple[RoutingResult, int]:
     """PathFinder with persistent cost/search structures.
 
-    Produces routing trees identical to :func:`_route_all` (the scalar
-    oracle): every float reaching the Dijkstra heap is the same
-    python float, so relaxations and pops happen in the same order.
+    Produces routing trees identical to a full-recompute PathFinder
+    (the reference lives in ``tests/oracles/route.py``): every float
+    reaching the Dijkstra heap is the same python float, so
+    relaxations and pops happen in the same order.
     The wins are structural -- the ``base * hist`` product is
     materialised once per iteration instead of per edge relaxation
     (``hist`` only changes between iterations), the SINK test is a
@@ -248,8 +134,8 @@ def _route_all_incremental(placement: Placement, g: RRGraph, *,
     cap_np = np.array(cap, dtype=np.int64)
     base_np = np.array([_BASE_COST[node.kind] for node in g.nodes])
     hist_np = np.ones(n)
-    # tolist() yields python floats bit-identical to the scalar
-    # per-edge ``_BASE_COST[kind] * hist[v]`` products.
+    # tolist() yields python floats bit-identical to the per-edge
+    # ``_BASE_COST[kind] * hist[v]`` products.
     bh = (base_np * hist_np).tolist()
     is_sink = [node.kind == "SINK" for node in g.nodes]
     edges = [node.edges for node in g.nodes]
@@ -324,7 +210,7 @@ def _route_all_incremental(placement: Placement, g: RRGraph, *,
         if overused == 0:
             return RoutingResult(True, it, trees,
                                  g.arch.channel_width), searches
-        # Per-element identical to the scalar
+        # Per-element identical to the per-node
         # ``hist[i] += acc_fac * (occ[i] - cap[i])`` update.
         hist_np[over_mask] += acc_fac * (occ_np[over_mask]
                                          - cap_np[over_mask])
@@ -337,8 +223,7 @@ def _route_all_incremental(placement: Placement, g: RRGraph, *,
 
 def route_min_channel_width(placement: Placement, arch: ArchParams,
                             *, w_min: int = 2, w_max: int = 64,
-                            max_iterations: int = 30,
-                            impl: str | None = None
+                            max_iterations: int = 30
                             ) -> tuple[int, RoutingResult, RRGraph]:
     """Binary search for the minimum routable channel width.
 
@@ -355,8 +240,7 @@ def route_min_channel_width(placement: Placement, arch: ArchParams,
         a = replace(arch, channel_width=w)
         g = build_rr_graph(a, placement.grid_size)
         try:
-            r = route(placement, g, max_iterations=max_iterations,
-                      impl=impl)
+            r = route(placement, g, max_iterations=max_iterations)
         except RuntimeError:
             return None, None
         return (r, g) if r.success else (None, g)

@@ -19,9 +19,7 @@ class TestConfigPrecedence:
         for name in ("REPRO_JOBS", "REPRO_NO_CACHE", "REPRO_CACHE_DIR",
                      "REPRO_CACHE_LRU_MB", "REPRO_JOB_TIMEOUT",
                      "REPRO_POOL", "REPRO_CHUNK", "REPRO_SHM_MIN_BYTES",
-                     "REPRO_TRACE", "REPRO_RUN_DB", "REPRO_SIM_IMPL",
-                     "REPRO_PLACE_IMPL", "REPRO_ROUTE_IMPL",
-                     "REPRO_SCALAR_ORACLE"):
+                     "REPRO_TRACE", "REPRO_RUN_DB"):
             monkeypatch.delenv(name, raising=False)
         cfg = Config.from_env()
         assert cfg.jobs == 1
@@ -34,8 +32,8 @@ class TestConfigPrecedence:
         assert cfg.shm_min_bytes == 64 * 1024
         assert cfg.telemetry is False
         assert cfg.hb_interval_s == 0.5
-        assert cfg.sim_impl == "auto"
-        assert cfg.scalar_oracle is False
+        assert cfg.trace is None
+        assert cfg.run_db is None
 
     def test_env_beats_default(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "3")
@@ -44,7 +42,6 @@ class TestConfigPrecedence:
         monkeypatch.setenv("REPRO_CHUNK", "7")
         monkeypatch.setenv("REPRO_JOB_TIMEOUT", "12.5")
         monkeypatch.setenv("REPRO_CACHE_LRU_MB", "8")
-        monkeypatch.setenv("REPRO_SCALAR_ORACLE", "1")
         cfg = Config.from_env()
         assert cfg.jobs == 3
         assert cfg.cache is False
@@ -52,7 +49,6 @@ class TestConfigPrecedence:
         assert cfg.chunk == 7
         assert cfg.job_timeout_s == 12.5
         assert cfg.cache_lru_mb == 8.0
-        assert cfg.scalar_oracle is True
 
     def test_explicit_beats_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "3")
@@ -101,7 +97,7 @@ class TestConfigPrecedence:
 
     def test_to_env_round_trips(self, monkeypatch):
         cfg = Config(jobs=4, cache=False, pool="per-job", chunk=3,
-                     job_timeout_s=9.0, scalar_oracle=True,
+                     job_timeout_s=9.0, hb_interval_s=0.25,
                      cache_lru_mb=16.0, run_db="/tmp/r.db")
         for name in list(cfg.to_env()):
             monkeypatch.delenv(name, raising=False)

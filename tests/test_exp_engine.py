@@ -37,25 +37,25 @@ def _echo(**params):
 
 class TestJobSpec:
     def test_known_kinds_registered(self):
-        assert {"detff", "clock_cell", "fig_point",
+        assert {"detff_batch", "clock_cells_batch", "fig_sweep_batch",
                 "flow"} <= set(registered_kinds())
+        assert not {"detff", "clock_cell",
+                    "fig_point"} & set(registered_kinds())
 
     def test_key_is_stable_and_param_order_free(self):
-        a = JobSpec.make("fig_point", width_mult=2.0, wire_length=4)
-        b = JobSpec(kind="fig_point",
-                    params={"wire_length": 4, "width_mult": 2.0})
+        a = JobSpec.make("fig_sweep_batch", points=[[2.0, 4]], dt=4e-12)
+        b = JobSpec(kind="fig_sweep_batch",
+                    params={"dt": 4e-12, "points": [[2.0, 4]]})
         assert a.key() == b.key()
         assert len(a.key()) == 64
 
     def test_key_changes_with_any_field(self):
-        base = JobSpec.make("fig_point", width_mult=2.0, wire_length=4)
+        base = JobSpec.make("fig_sweep_batch", points=[[2.0, 4]])
         keys = {
             base.key(),
-            JobSpec.make("fig_point", width_mult=2.0,
-                         wire_length=8).key(),
-            JobSpec.make("fig_point", width_mult=2.5,
-                         wire_length=4).key(),
-            JobSpec.make("detff", width_mult=2.0, wire_length=4).key(),
+            JobSpec.make("fig_sweep_batch", points=[[2.0, 8]]).key(),
+            JobSpec.make("fig_sweep_batch", points=[[2.5, 4]]).key(),
+            JobSpec.make("detff_batch", points=[[2.0, 4]]).key(),
             base.key(code_version="other"),
         }
         assert len(keys) == 5
@@ -110,6 +110,12 @@ class TestResultCache:
 # Runner
 # ---------------------------------------------------------------------------
 
+def _point(width_mult: float, wire_length: int) -> JobSpec:
+    """One Fig. 8 sizing point as a one-point batched sweep job."""
+    return JobSpec.make("fig_sweep_batch",
+                        points=[[width_mult, wire_length]], dt=8e-12)
+
+
 class TestParallelRunner:
     def test_serial_echo_roundtrip(self, tmp_path):
         runner = ParallelRunner(jobs=1, cache=ResultCache(tmp_path))
@@ -121,17 +127,15 @@ class TestParallelRunner:
         # Deliberately unsorted widths: results must come back in the
         # order submitted, not the order workers finish.
         widths = [4.0, 1.0, 2.0]
-        specs = [JobSpec.make("fig_point", width_mult=w, wire_length=1,
-                              dt=8e-12) for w in widths]
+        specs = [_point(w, 1) for w in widths]
         runner = ParallelRunner(jobs=4, cache=ResultCache(tmp_path))
         results = runner.run(specs)
-        assert [r.value.width_mult for r in results] == widths
+        assert [r.value[0].width_mult for r in results] == widths
         assert all(r.ok and not r.cached and r.seconds > 0
                    for r in results)
 
     def test_parallel_matches_serial_bit_for_bit(self, tmp_path):
-        specs = [JobSpec.make("fig_point", width_mult=w, wire_length=2,
-                              dt=8e-12) for w in (1.0, 4.0)]
+        specs = [_point(w, 2) for w in (1.0, 4.0)]
         serial = ParallelRunner(
             jobs=1, cache=NullCache()).run_values(specs)
         parallel = ParallelRunner(
@@ -139,18 +143,14 @@ class TestParallelRunner:
         assert pickle.dumps(serial) == pickle.dumps(parallel)
 
     def test_failure_captured_without_sinking_the_batch(self, tmp_path):
-        specs = [
-            JobSpec.make("fig_point", width_mult=1.0, wire_length=0),
-            JobSpec.make("fig_point", width_mult=1.0, wire_length=1,
-                         dt=8e-12),
-        ]
+        specs = [_point(1.0, 0), _point(1.0, 1)]
         runner = ParallelRunner(jobs=4, cache=ResultCache(tmp_path))
         bad, good = runner.run(specs)
         assert not bad.ok
         assert isinstance(bad.error, JobError)
         assert bad.error.kind == "error"
         assert "wire_length" in str(bad.error)
-        assert good.ok and good.value.wire_length == 1
+        assert good.ok and good.value[0].wire_length == 1
         with pytest.raises(RuntimeError, match="failed"):
             runner.run_values(specs[:1])
         # The structured triple survives for programmatic triage.
@@ -162,8 +162,7 @@ class TestParallelRunner:
             assert not exc.error.is_timeout and not exc.error.is_crash
 
     def test_warm_cache_speedup(self, tmp_path):
-        specs = [JobSpec.make("fig_point", width_mult=w, wire_length=2,
-                              dt=8e-12) for w in (1.0, 2.0, 4.0)]
+        specs = [_point(w, 2) for w in (1.0, 2.0, 4.0)]
         cache_dir = tmp_path / "cache"
         t0 = time.perf_counter()
         cold = ParallelRunner(

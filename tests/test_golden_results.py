@@ -11,27 +11,25 @@ runner, so a warm result cache makes this module near-instant while a
 cold one recomputes everything (which is the point: cached and fresh
 values must be the same numbers).
 
-The drivers run whichever transient-engine implementation
-:mod:`repro.impls` resolves: the batched tensor engine by default --
-so a plain tier-1 run checks the *vectorized* path against the
-goldens -- and the scalar oracle under ``REPRO_SCALAR_ORACLE=1`` (the
-CI differential leg re-runs this module that way).  The goldens were
-recorded with the scalar engine; the batched engine matching them
-within RTOL is itself part of the equivalence contract, so no
-re-goldening was needed.
+The drivers run the batched tensor engine.  The goldens were recorded
+with the scalar engine; the batched engine matching them within RTOL
+is itself part of the equivalence contract, so no re-goldening was
+needed.  Table 2 also keeps a scalar-oracle arm: its three clock
+configurations run one :func:`~repro.circuit.simulate` each and must
+hit the same goldens.
 """
 
 import json
 import math
-import os
 from pathlib import Path
 
 import pytest
 
-from repro import impls
-from repro.circuit.experiments import (gated_clock_breakeven,
-                                       run_fig_sweep, run_table1,
-                                       run_table2, run_table3)
+from repro.circuit import experiments, simulate
+from repro.circuit.experiments import (_run_fig_sweep, _run_table1,
+                                       _run_table2, _run_table3,
+                                       gated_clock_breakeven)
+from repro.exp import NullCache, ParallelRunner
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "benchmarks" / "results"
 
@@ -66,7 +64,7 @@ def _assert_close(got: float, want: float, what: str) -> None:
 
 def test_table1_matches_golden():
     golden = _golden("table1")
-    rows = run_table1(dt=TABLE_DT)
+    rows = _run_table1(dt=TABLE_DT)
     assert [r["name"] for r in rows] == [g["name"] for g in golden]
     for row, gold in zip(rows, golden):
         for field in ("energy_fJ", "delay_ps", "edp_fJ_ps"):
@@ -75,19 +73,23 @@ def test_table1_matches_golden():
         assert row["functional"] == gold["functional"]
 
 
-def test_default_impl_is_vectorized():
-    """A plain tier-1 run covers the batched engine, not the oracle."""
-    if (os.environ.get(impls.ENV_SCALAR_ORACLE)
-            or os.environ.get(impls.ENV_SIM_IMPL)):
-        pytest.skip("environment pins the implementation")
-    assert impls.sim_impl() == impls.BATCHED
+def _simulate_each(circuits, t_ends, *, dt):
+    """Drop-in for ``simulate_batch``: one scalar transient per circuit."""
+    return [simulate(c, t, dt=dt) for c, t in zip(circuits, t_ends)]
 
 
-@pytest.mark.parametrize("impl", [impls.BATCHED, impls.SCALAR])
-def test_table2_matches_golden(impl):
-    """Both implementations must hit the same goldens explicitly."""
+@pytest.mark.parametrize("engine", ["batched", "scalar"])
+def test_table2_matches_golden(engine, monkeypatch):
+    """The batched engine and the scalar oracle hit the same goldens."""
     golden = _golden("table2")
-    data = run_table2(dt=TABLE_DT, impl=impl)
+    if engine == "batched":
+        data = _run_table2(dt=TABLE_DT)
+    else:
+        # In-process and uncached, so the swapped engine really runs
+        # and its values never reach the shared result cache.
+        monkeypatch.setattr(experiments, "simulate_batch", _simulate_each)
+        data = _run_table2(dt=TABLE_DT, runner=ParallelRunner(
+            jobs=1, cache=NullCache(), timeout_s=0))
     assert set(data) == set(golden)
     for field, want in golden.items():
         _assert_close(data[field], want, f"table2 {field}")
@@ -95,7 +97,7 @@ def test_table2_matches_golden(impl):
 
 def test_table3_matches_golden():
     golden = _golden("table3")
-    rows = run_table3(dt=TABLE_DT)
+    rows = _run_table3(dt=TABLE_DT)
     assert ([r["condition"] for r in rows]
             == [g["condition"] for g in golden["rows"]])
     for row, gold in zip(rows, golden["rows"]):
@@ -113,8 +115,8 @@ def test_table3_matches_golden():
 @pytest.mark.parametrize("fig", ["fig8", "fig9", "fig10"])
 def test_fig_sweep_matches_golden(fig):
     golden = _golden(fig)
-    sweep = run_fig_sweep(fig, widths=FIG_WIDTHS,
-                          wire_lengths=FIG_LENGTHS, dt=FIG_DT)
+    sweep = _run_fig_sweep(fig, widths=FIG_WIDTHS,
+                           wire_lengths=FIG_LENGTHS, dt=FIG_DT)
 
     rows = [m for length in FIG_LENGTHS for m in sweep[length]]
     assert len(rows) == len(golden["rows"])

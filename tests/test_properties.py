@@ -187,17 +187,18 @@ class TestCacheProperties:
     @settings(max_examples=50, deadline=None)
     @given(_spec_params)
     def test_same_spec_same_key(self, params):
-        a = JobSpec.make("fig_point", tech=STM018, **params)
-        b = JobSpec.make("fig_point", tech=STM018, **params)
+        a = JobSpec.make("fig_sweep_batch", tech=STM018, **params)
+        b = JobSpec.make("fig_sweep_batch", tech=STM018, **params)
         assert a.key() == b.key()
 
     @settings(max_examples=50, deadline=None)
     @given(st.floats(min_value=1e-6, max_value=0.5,
                      allow_nan=False))
     def test_perturbed_technology_param_misses(self, eps):
-        base = JobSpec.make("fig_point", width_mult=2.0, tech=STM018)
+        base = JobSpec.make("fig_sweep_batch", points=[[2.0, 4]],
+                            tech=STM018)
         perturbed = JobSpec.make(
-            "fig_point", width_mult=2.0,
+            "fig_sweep_batch", points=[[2.0, 4]],
             tech=STM018.scaled(vdd=STM018.vdd * (1.0 + eps)))
         assert base.key() != perturbed.key()
 
@@ -205,9 +206,9 @@ class TestCacheProperties:
     @given(st.floats(min_value=1e-9, max_value=100.0,
                      allow_nan=False))
     def test_perturbed_spec_field_misses(self, delta):
-        base = JobSpec.make("fig_point", width_mult=2.0, wire_length=4)
-        moved = JobSpec.make("fig_point", width_mult=2.0 + delta,
-                             wire_length=4)
+        base = JobSpec.make("fig_sweep_batch", points=[[2.0, 4]])
+        moved = JobSpec.make("fig_sweep_batch",
+                             points=[[2.0 + delta, 4]])
         assert base.key() != moved.key()
 
     @settings(max_examples=25, deadline=None)

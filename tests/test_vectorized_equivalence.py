@@ -1,18 +1,20 @@
-"""Differential tests: vectorized implementations vs scalar oracles.
+"""Differential tests: vectorized hot paths vs their reference oracles.
 
-The batched transient engine, the incremental-cost placer and the
-incremental router each ship alongside the original scalar
-implementation (kept selectable via :mod:`repro.impls`).  This suite
-pins the equivalence contract:
+The product ships one implementation per hot path.  The references
+they were derived from live in :mod:`tests.oracles` (placement and
+routing) or stay public (the scalar :func:`repro.circuit.simulate`).
+This suite pins the equivalence contract:
 
 * transients -- batched waveforms match the scalar simulator within
   the Newton solver tolerance on arbitrary RC / pass-transistor
   circuits (hypothesis-generated), and bit-for-bit when the batch
   engine uses its dense solver;
-* placement and routing -- the incremental implementations reproduce
-  the scalar results *exactly* (same placements, same routing trees)
-  for the same seeds;
-* selection -- the environment escape hatches resolve as documented;
+* placement and routing -- with the oracle swapped in for the
+  incremental cost model / router (``monkeypatch`` on the module
+  attribute), the product entrypoints reproduce the same results
+  *exactly* (same placements, same routing trees) for the same seeds;
+* placer invariant -- the incremental bbox total equals a from-scratch
+  :func:`~repro.place.placer.wirelength_cost` at every temperature step;
 * failure surfacing -- a :class:`NewtonConvergenceError` crossing the
   experiment engine arrives as a structured ``JobError`` that still
   names the offending nodes and timestep.
@@ -22,7 +24,6 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro import impls
 from repro.arch import DEFAULT_ARCH, build_rr_graph
 from repro.bench import counter, random_logic
 from repro.circuit import (Circuit, NewtonConvergenceError, STM018,
@@ -32,9 +33,12 @@ from repro.circuit.waveforms import pulse_train
 from repro.exp import JobSpec, NullCache, ParallelRunner
 from repro.exp.tasks import task
 from repro.pack import pack_netlist
-from repro.place import place
-from repro.route import route, route_min_channel_width
+from repro.place import place, placer
+from repro.place.placer import wirelength_cost
+from repro.route import route, route_min_channel_width, router
 from repro.synth import optimize_and_map
+from tests.oracles.place import ScalarCost
+from tests.oracles.route import route_all
 
 VDD = STM018.vdd
 
@@ -176,84 +180,67 @@ class TestPlacerEquivalence:
     @pytest.mark.parametrize("name,seed", [("counter8", 5),
                                            ("counter8", 9),
                                            ("rand", 3)])
-    def test_incremental_placement_exact(self, pr_netlists, name, seed):
+    def test_incremental_placement_exact(self, pr_netlists, monkeypatch,
+                                         name, seed):
         cn = pr_netlists[name]
-        a = place(cn, DEFAULT_ARCH, seed=seed, effort=0.5,
-                  impl=impls.SCALAR)
-        b = place(cn, DEFAULT_ARCH, seed=seed, effort=0.5,
-                  impl=impls.INCREMENTAL)
+        b = place(cn, DEFAULT_ARCH, seed=seed, effort=0.5)
+        monkeypatch.setattr(placer, "_IncrementalCost", ScalarCost)
+        a = place(cn, DEFAULT_ARCH, seed=seed, effort=0.5)
         assert a.loc == b.loc
         assert a.cost == b.cost
         assert a.grid_size == b.grid_size
+
+    @pytest.mark.parametrize("name,seed", [("counter8", 5), ("rand", 3)])
+    def test_incremental_total_matches_recompute(self, pr_netlists,
+                                                 monkeypatch, name, seed):
+        """Every temperature step's drift-cancel total is exact."""
+        checked = []
+
+        class Checked(placer._IncrementalCost):
+            def __init__(self, loc, nets):
+                super().__init__(loc, nets)
+                self._loc, self._nets = loc, nets
+
+            def total(self):
+                got = super().total()
+                assert got == wirelength_cost(self._loc, self._nets)
+                checked.append(got)
+                return got
+
+        monkeypatch.setattr(placer, "_IncrementalCost", Checked)
+        place(pr_netlists[name], DEFAULT_ARCH, seed=seed, effort=0.5)
+        # The initial total plus one per temperature step.
+        assert len(checked) > 2
 
 
 class TestRouterEquivalence:
     @pytest.mark.parametrize("name,seed", [("counter8", 5),
                                            ("rand", 2)])
-    def test_incremental_routing_exact(self, pr_netlists, name, seed):
+    def test_incremental_routing_exact(self, pr_netlists, monkeypatch,
+                                       name, seed):
         cn = pr_netlists[name]
         pl = place(cn, DEFAULT_ARCH, seed=seed, effort=0.5)
         g = build_rr_graph(DEFAULT_ARCH, pl.grid_size)
-        a = route(pl, g, impl=impls.SCALAR)
-        b = route(pl, g, impl=impls.INCREMENTAL)
+        b = route(pl, g)
+        monkeypatch.setattr(router, "_route_all_incremental", route_all)
+        a = route(pl, g)
         assert a.success == b.success
         assert a.iterations == b.iterations
         assert a.overused == b.overused
         assert {k: t.parents for k, t in a.trees.items()} \
             == {k: t.parents for k, t in b.trees.items()}
 
-    def test_min_width_search_exact(self, pr_netlists):
+    def test_min_width_search_exact(self, pr_netlists, monkeypatch):
         pl = place(pr_netlists["counter8"], DEFAULT_ARCH, seed=5,
                    effort=0.5)
-        wa, ra, _ = route_min_channel_width(pl, DEFAULT_ARCH,
-                                            impl=impls.SCALAR)
-        wb, rb, _ = route_min_channel_width(pl, DEFAULT_ARCH,
-                                            impl=impls.INCREMENTAL)
+        wb, rb, _ = route_min_channel_width(pl, DEFAULT_ARCH)
+        monkeypatch.setattr(router, "_route_all_incremental", route_all)
+        wa, ra, _ = route_min_channel_width(pl, DEFAULT_ARCH)
         assert wa == wb
+        assert ra.iterations == rb.iterations
+        assert ra.overused == rb.overused
         assert {k: t.parents for k, t in ra.trees.items()} \
             == {k: t.parents for k, t in rb.trees.items()}
-
-
-# ---------------------------------------------------------------------------
-# Implementation selection
-# ---------------------------------------------------------------------------
-
-class TestImplSelection:
-    def test_defaults_are_vectorized(self, monkeypatch):
-        for var in (impls.ENV_SCALAR_ORACLE, impls.ENV_SIM_IMPL,
-                    impls.ENV_PLACE_IMPL, impls.ENV_ROUTE_IMPL):
-            monkeypatch.delenv(var, raising=False)
-        assert impls.sim_impl() == impls.BATCHED
-        assert impls.place_impl() == impls.INCREMENTAL
-        assert impls.route_impl() == impls.INCREMENTAL
-
-    def test_scalar_oracle_forces_everything(self, monkeypatch):
-        monkeypatch.setenv(impls.ENV_SCALAR_ORACLE, "1")
-        assert impls.sim_impl() == impls.SCALAR
-        assert impls.place_impl() == impls.SCALAR
-        assert impls.route_impl() == impls.SCALAR
-        # ... but an explicit choice still wins.
-        assert impls.sim_impl(impls.BATCHED) == impls.BATCHED
-
-    def test_per_domain_env_override(self, monkeypatch):
-        monkeypatch.delenv(impls.ENV_SCALAR_ORACLE, raising=False)
-        monkeypatch.setenv(impls.ENV_PLACE_IMPL, "scalar")
-        assert impls.place_impl() == impls.SCALAR
-        assert impls.route_impl() == impls.INCREMENTAL
-
-    def test_versions_distinct_per_impl(self):
-        assert (impls.impl_version("sim", impls.SCALAR)
-                != impls.impl_version("sim", impls.BATCHED))
-        assert (impls.impl_version("place", impls.SCALAR)
-                != impls.impl_version("place", impls.INCREMENTAL))
-        assert (impls.impl_version("route", impls.SCALAR)
-                != impls.impl_version("route", impls.INCREMENTAL))
-
-    def test_unknown_impl_rejected(self):
-        with pytest.raises(ValueError):
-            impls.sim_impl("quantum")
-        with pytest.raises(ValueError):
-            impls.impl_version("sim", "quantum")
 
 
 # ---------------------------------------------------------------------------
