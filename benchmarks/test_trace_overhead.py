@@ -84,14 +84,14 @@ def test_trace_overhead_under_five_percent():
 
 
 def test_live_streaming_overhead_under_five_percent(tmp_path):
-    # A persistent-pool sweep of compute-bound selftest jobs, sized so
-    # each arm takes a second or two.  Enablement is re-resolved per
-    # dispatched chunk from the forwarded environment, so one warm pool
-    # serves both arms and worker start-up cost cancels out.
+    # A pooled sweep of compute-bound selftest jobs, sized so each arm
+    # takes a second or two.  Enablement is re-resolved per dispatched
+    # job from the forwarded environment, so one warm pool serves both
+    # arms and worker start-up cost cancels out.
     specs = [JobSpec(kind="selftest",
                      params={"x": float(i), "array_len": 1_500_000})
              for i in range(60)]
-    runner = ParallelRunner(jobs=4, use_cache=False, pool="persistent")
+    runner = ParallelRunner(jobs=4, use_cache=False)
 
     def timed(enabled: bool) -> float:
         if enabled:

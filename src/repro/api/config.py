@@ -2,9 +2,9 @@
 
 Historically each subsystem read its own environment variables at its
 own call site with its own fallback semantics (``repro.exp.runner``,
-``repro.exp.cache``, ``repro.exp.pool``, ``repro.obs.live``, the
-CLI).  :class:`Config` gathers them into one
-documented, typed dataclass with one construction rule:
+``repro.exp.cache``, ``repro.obs.live``, the CLI).  :class:`Config`
+gathers them into one documented, typed dataclass with one
+construction rule:
 
     **explicit argument > environment variable > built-in default**
 
@@ -26,12 +26,6 @@ field                  environment variable    meaning
 ``cache_lru_mb``       ``REPRO_CACHE_LRU_MB``  in-process blob LRU bound
 ``job_timeout_s``      ``REPRO_JOB_TIMEOUT``   per-job deadline (None =
                                                unlimited)
-``pool``               ``REPRO_POOL``          scheduler: ``persistent``
-                                               or ``per-job``
-``chunk``              ``REPRO_CHUNK``         jobs per pool dispatch
-                                               (None = automatic)
-``shm_min_bytes``      ``REPRO_SHM_MIN_BYTES`` shared-memory transport
-                                               cutoff (None = disabled)
 ``telemetry``          ``REPRO_TELEMETRY``     live telemetry bus on/off
 ``telemetry_dir``      ``REPRO_TELEMETRY``     snapshot dir (a path value
                                                both enables and locates)
@@ -102,30 +96,12 @@ def _env_timeout() -> float | None:
     return value if value > 0 else None
 
 
-def _env_chunk() -> int | None:
-    try:
-        value = int(os.environ["REPRO_CHUNK"])
-    except (KeyError, ValueError):
-        return None
-    return value if value > 0 else None
-
-
-def _env_pool() -> str:
-    raw = os.environ.get("REPRO_POOL", "").strip().lower()
-    return raw if raw in ("persistent", "per-job") else "persistent"
-
-
 def _env_lru_mb() -> float:
     try:
         value = float(os.environ["REPRO_CACHE_LRU_MB"])
     except (KeyError, ValueError):
         return 64.0
     return max(0.0, value)
-
-
-def _env_shm_min_bytes() -> int | None:
-    from ..exp.pool import shm_min_bytes
-    return shm_min_bytes()
 
 
 def _env_telemetry() -> tuple[bool, str | None]:
@@ -158,19 +134,11 @@ class Config:
     cache_dir: str | None = None
     cache_lru_mb: float = 64.0
     job_timeout_s: float | None = None
-    pool: str = "persistent"
-    chunk: int | None = None
-    shm_min_bytes: int | None = 64 * 1024
     telemetry: bool = False
     telemetry_dir: str | None = None
     hb_interval_s: float = 0.5
     trace: str | None = None
     run_db: str | None = None
-
-    def __post_init__(self):
-        if self.pool not in ("persistent", "per-job"):
-            raise ValueError(f"pool must be 'persistent' or 'per-job', "
-                             f"got {self.pool!r}")
 
     # ------------------------------------------------------------------
     @classmethod
@@ -194,9 +162,6 @@ class Config:
             "cache_dir": _env_str("REPRO_CACHE_DIR"),
             "cache_lru_mb": _env_lru_mb(),
             "job_timeout_s": _env_timeout(),
-            "pool": _env_pool(),
-            "chunk": _env_chunk(),
-            "shm_min_bytes": _env_shm_min_bytes(),
             "telemetry": telemetry,
             "telemetry_dir": telemetry_dir,
             "hb_interval_s": _env_hb_interval(),
@@ -227,12 +192,6 @@ class Config:
             out["REPRO_CACHE_LRU_MB"] = repr(self.cache_lru_mb)
         if self.job_timeout_s is not None:
             out["REPRO_JOB_TIMEOUT"] = repr(self.job_timeout_s)
-        if self.pool != "persistent":
-            out["REPRO_POOL"] = self.pool
-        if self.chunk is not None:
-            out["REPRO_CHUNK"] = str(self.chunk)
-        if self.shm_min_bytes != 64 * 1024:
-            out["REPRO_SHM_MIN_BYTES"] = str(self.shm_min_bytes or 0)
         if self.telemetry:
             out["REPRO_TELEMETRY"] = self.telemetry_dir or "1"
         if self.hb_interval_s != 0.5:
@@ -246,11 +205,10 @@ class Config:
     # ------------------------------------------------------------------
     def runner(self):
         """A :class:`~repro.exp.runner.ParallelRunner` built from this
-        config (cache, scheduler, chunking and timeout all resolved
-        here, not re-read from the environment)."""
+        config (workers, cache and timeout all resolved here, not
+        re-read from the environment)."""
         from ..exp import NullCache, ParallelRunner, ResultCache
         cache = (ResultCache(self.cache_dir, lru_mb=self.cache_lru_mb)
                  if self.cache else NullCache())
         return ParallelRunner(jobs=self.jobs, cache=cache,
-                              timeout_s=self.job_timeout_s,
-                              pool=self.pool, chunk=self.chunk)
+                              timeout_s=self.job_timeout_s)

@@ -151,8 +151,8 @@ def _run_table1(*, tech: Technology = STM018, dt: float = 1e-12,
     All five flip-flops run as one tensor-shaped transient inside a
     single job.
     """
-    spec = JobSpec.make("detff_batch", chunkable=False,
-                        names=list(DETFF_VARIANTS), tech=tech, dt=dt)
+    spec = JobSpec.make("detff_batch", names=list(DETFF_VARIANTS),
+                        tech=tech, dt=dt)
     (rows,) = _values([spec], runner, "table1")
     return rows
 
@@ -161,8 +161,7 @@ def _clock_cell_energies(configs: list[dict], dt: float,
                          runner: ParallelRunner | None,
                          driver: str) -> list[float]:
     """Table 2/3 energies, all configurations in one batched job."""
-    spec = JobSpec.make("clock_cells_batch", chunkable=False,
-                        configs=configs, dt=dt)
+    spec = JobSpec.make("clock_cells_batch", configs=configs, dt=dt)
     (energies,) = _values([spec], runner, driver)
     return energies
 
@@ -253,9 +252,8 @@ def _run_fig_sweep(fig: str, *, widths: list[float] | None = None,
         # The paper caps buffers at 16x minimum.
         widths = [w for w in widths if w <= 16.0]
     points = [[w, length] for length in wire_lengths for w in widths]
-    spec = JobSpec.make("fig_sweep_batch", chunkable=False,
-                        points=points, switch_type=switch_type,
-                        tech=tech, dt=dt, **cfg)
+    spec = JobSpec.make("fig_sweep_batch", points=points,
+                        switch_type=switch_type, tech=tech, dt=dt, **cfg)
     (rows,) = _values([spec], runner, fig)
     values = iter(rows)
     return {length: [next(values) for _ in widths]

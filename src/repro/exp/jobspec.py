@@ -79,28 +79,23 @@ def repro_code_version() -> str:
 class JobSpec:
     """One unit of work: a registered task kind plus its parameters.
 
-    ``timeout_s``, ``retries`` and ``chunkable`` are *execution
-    policy*, not identity: they control how the engine runs the job
-    (kill it after a deadline, re-run it with exponential backoff on
-    failure, group it with sibling jobs into one pool dispatch) and are
-    deliberately excluded from the cache key -- the same work with a
-    different timeout is still the same work.  Set ``chunkable=False``
-    on long-running specs (e.g. the already-batched tensor kinds) so
-    the persistent pool never queues quick jobs behind them.
+    ``timeout_s`` and ``retries`` are *execution policy*, not identity:
+    they control how the engine runs the job (kill it after a deadline,
+    re-run it with exponential backoff on failure) and are deliberately
+    excluded from the cache key -- the same work with a different
+    timeout is still the same work.
     """
 
     kind: str
     params: dict[str, Any] = field(default_factory=dict)
     timeout_s: float | None = None
     retries: int = 0
-    chunkable: bool = True
 
     @classmethod
     def make(cls, kind: str, *, timeout_s: float | None = None,
-             retries: int = 0, chunkable: bool = True,
-             **params: Any) -> "JobSpec":
+             retries: int = 0, **params: Any) -> "JobSpec":
         return cls(kind=kind, params=params, timeout_s=timeout_s,
-                   retries=retries, chunkable=chunkable)
+                   retries=retries)
 
     def canonical_json(self) -> str:
         return canonical_json({"kind": self.kind, "params": self.params})

@@ -9,28 +9,15 @@ the attempt count and, for failed jobs, a structured :class:`JobError`
 error, a timeout or a worker crash) -- one bad sweep point never takes
 down the batch.
 
-Execution modes
----------------
-Two schedulers implement the same contract and produce bit-identical
-results (``pool=`` argument / ``REPRO_POOL``):
-
-``"persistent"`` (default)
-    Long-lived warm workers shared across batches through a
-    module-level pool handle (:mod:`repro.exp.pool`), small jobs
-    chunked per dispatch to amortize IPC, and large result arrays
-    moved through ``multiprocessing.shared_memory`` instead of the
-    pipe.  A worker that crashes or overruns a deadline is killed and
-    replaced by the supervisor; the rest of its chunk is re-queued
-    without consuming retry attempts.
-
-``"per-job"``
-    The isolation-maximal oracle: every job attempt runs in its own
-    fresh daemonic process, so a worker that is killed, OOMs or calls
-    ``os._exit`` can never carry state into another job.
-
-In both modes a per-job ``timeout_s`` (on the spec, on the runner, or
-via ``REPRO_JOB_TIMEOUT``) terminates overdue workers and reports
-``error.kind == "timeout"``; a dead worker yields ``error.kind ==
+Execution
+---------
+A batch runs inline, in this process, when ``jobs == 1`` and no job
+has a timeout.  Otherwise it runs on the shared warm worker pool
+(:mod:`repro.exp.pool`): long-lived workers that outlive batches, each
+sent one job at a time, with results pickled back over its pipe.  A
+per-job ``timeout_s`` (on the spec or the runner) kills and replaces
+an overdue worker and reports ``error.kind == "timeout"``; a worker
+that dies mid-job is replaced and its job reports ``error.kind ==
 "crash"``; ``JobSpec.retries`` re-runs a failed job with exponential
 backoff before giving up.
 
@@ -61,22 +48,6 @@ from .jobspec import JobSpec
 
 __all__ = ["JobError", "JobFailedError", "JobResult", "ParallelRunner",
            "default_runner"]
-
-#: Environment knobs a :class:`ParallelRunner` falls back to when the
-#: matching constructor argument is not given.
-ENV_JOB_TIMEOUT = "REPRO_JOB_TIMEOUT"
-ENV_POOL = "REPRO_POOL"
-ENV_CHUNK = "REPRO_CHUNK"
-
-POOL_PERSISTENT = "persistent"
-POOL_PER_JOB = "per-job"
-_POOL_MODES = (POOL_PERSISTENT, POOL_PER_JOB)
-
-#: Chunking bounds for the persistent pool: never group more than this
-#: many jobs per dispatch, and aim for this many chunks per worker so
-#: stragglers still load-balance.
-CHUNK_MAX = 32
-CHUNK_OVERSUBSCRIBE = 4
 
 
 @dataclass(frozen=True)
@@ -197,30 +168,6 @@ class _WorkerSettings:
                 os.environ.pop(k, None)
 
 
-def _worker_main(conn, spec: JobSpec,
-                 settings: _WorkerSettings | None = None) -> None:
-    """Child entry: execute, then report result + trace + metrics."""
-    if settings is not None:
-        settings.apply()
-    tr = obs.Tracer()
-    ms = obs.MetricSet()
-    with obs.capture(tr), obs.metrics.collect(ms):
-        value, seconds, err = _execute_spec(spec)
-    try:
-        try:
-            conn.send((value, seconds, err, tr.export(), ms.export()))
-        except Exception as exc:
-            # The value itself would not pickle: report that as a task
-            # error rather than dying silently (which would look like a
-            # crash to the parent).
-            err = JobError(exc_type=type(exc).__name__,
-                           message=f"job result not picklable: {exc}",
-                           traceback=traceback.format_exc())
-            conn.send((None, seconds, err, tr.export(), ms.export()))
-    finally:
-        conn.close()
-
-
 @dataclass
 class _Pending:
     """A job attempt waiting for a worker slot."""
@@ -228,18 +175,6 @@ class _Pending:
     index: int
     attempt: int
     ready_at: float     # monotonic time before which it must not start
-
-
-@dataclass
-class _Active:
-    """A job attempt currently running in a worker process."""
-
-    index: int
-    attempt: int
-    proc: Any
-    conn: Any
-    started: float
-    deadline: float | None
 
 
 class ParallelRunner:
@@ -250,7 +185,7 @@ class ParallelRunner:
                       one from ``use_cache`` (``NullCache`` when false).
     ``code_version``  override the package digest in cache keys (tests).
     ``timeout_s``     default per-job timeout for specs that set none;
-                      ``None`` means unlimited.
+                      ``None`` or non-positive means unlimited.
     ``backoff_s``     base of the exponential retry backoff: attempt
                       ``n`` waits ``backoff_s * 2**(n-1)`` before
                       re-running.
@@ -260,19 +195,11 @@ class ParallelRunner:
                       state is forwarded explicitly (see
                       :class:`_WorkerSettings`), so spans and metrics
                       survive any start method.
-    ``pool``          scheduler: ``"persistent"`` (warm shared pool,
-                      the default) or ``"per-job"`` (fresh process per
-                      attempt).  ``None`` reads ``REPRO_POOL``; an
-                      unrecognized environment value falls back to
-                      ``"persistent"``, an unrecognized argument raises.
-    ``chunk``         jobs grouped per pool dispatch.  ``None`` reads
-                      ``REPRO_CHUNK``, else sizes chunks automatically
-                      from the batch (``1`` disables chunking; ignored
-                      by the per-job scheduler).
 
     Execution is inline (in-process) only when ``jobs == 1`` and no job
-    has a timeout; otherwise the selected scheduler keeps crashes and
-    timeouts isolated in worker processes.
+    has a timeout; otherwise the warm pool keeps crashes and timeouts
+    isolated in worker processes.  The runner parses no environment
+    variables; :func:`default_runner` builds one from them.
     """
 
     def __init__(self, jobs: int = 1, *,
@@ -281,9 +208,7 @@ class ParallelRunner:
                  code_version: str | None = None,
                  timeout_s: float | None = None,
                  backoff_s: float = 0.25,
-                 start_method: str | None = None,
-                 pool: str | None = None,
-                 chunk: int | None = None):
+                 start_method: str | None = None):
         if jobs <= 0:
             jobs = os.cpu_count() or 1
         self.jobs = jobs
@@ -291,35 +216,12 @@ class ParallelRunner:
             cache = ResultCache() if use_cache else NullCache()
         self.cache = cache
         self.code_version = code_version
-        if timeout_s is None:
-            try:
-                timeout_s = float(os.environ[ENV_JOB_TIMEOUT])
-            except (KeyError, ValueError):
-                timeout_s = None
-        # Non-positive means "no timeout" whether it came from the
-        # environment or an explicit argument (an explicit 0 lets
-        # callers disable a timeout without re-reading the env).
+        # An explicit 0 lets callers disable a timeout.
         if timeout_s is not None and timeout_s <= 0:
             timeout_s = None
         self.timeout_s = timeout_s
         self.backoff_s = backoff_s
         self.start_method = start_method
-        if pool is None:
-            env = os.environ.get(ENV_POOL, "").strip().lower()
-            pool = env if env in _POOL_MODES else POOL_PERSISTENT
-        elif pool not in _POOL_MODES:
-            raise ValueError(
-                f"pool must be one of {_POOL_MODES}, got {pool!r}")
-        self.pool = pool
-        if chunk is None:
-            try:
-                chunk = int(os.environ[ENV_CHUNK])
-            except (KeyError, ValueError):
-                chunk = None
-        # As with timeout_s: non-positive always means automatic.
-        if chunk is not None and chunk <= 0:
-            chunk = None
-        self.chunk = chunk
 
     # ------------------------------------------------------------------
     def run(self, specs: Sequence[JobSpec]) -> list[JobResult]:
@@ -354,8 +256,6 @@ class ParallelRunner:
                         for i in pending:
                             results[i] = self._run_inline(specs[i],
                                                           keys[i])
-                    elif self.pool == POOL_PER_JOB:
-                        self._run_pool(specs, keys, results, pending)
                     else:
                         self._run_persistent(specs, keys, results,
                                              pending)
@@ -420,171 +320,18 @@ class ParallelRunner:
         return JobResult(spec=spec, key=key, value=value,
                          seconds=seconds, error=err, attempts=attempt)
 
-    # -- pooled path (process-per-job scheduler) ------------------------
-    def _run_pool(self, specs: Sequence[JobSpec], keys: Sequence[str],
-                  results: list[JobResult | None],
-                  pending_idx: list[int]) -> None:
-        import multiprocessing as mp
-        from multiprocessing.connection import wait as conn_wait
-
-        ctx = mp.get_context(self.start_method)
-        hub = obs.live.session_hub()
-        settings = _WorkerSettings.snapshot()
-        queue: deque[_Pending] = deque(
-            _Pending(i, 1, 0.0) for i in pending_idx)
-        active: list[_Active] = []
-
-        def launch(item: _Pending) -> None:
-            parent_conn, child_conn = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=_worker_main,
-                               args=(child_conn, specs[item.index],
-                                     settings),
-                               daemon=True)
-            proc.start()
-            child_conn.close()
-            now = time.monotonic()
-            t = self._timeout_for(specs[item.index])
-            active.append(_Active(item.index, item.attempt, proc,
-                                  parent_conn, now,
-                                  now + t if t is not None else None))
-
-        def finalize(index: int, attempt: int, value: Any,
-                     seconds: float, err: JobError | None,
-                     spans: list | None = None,
-                     metric_rows: list | None = None) -> None:
-            spec = specs[index]
-            if err is not None and attempt <= spec.retries:
-                obs.emit("exp.job", seconds=seconds, kind=spec.kind,
-                         attempt=attempt, outcome=f"retry:{err.kind}")
-                if hub is not None:
-                    hub.job_retried(spec.kind)
-                backoff = self._backoff(attempt)
-                obs.metrics.metric_set().dist("exp.retry_wait_s",
-                                              backoff)
-                queue.append(_Pending(
-                    index, attempt + 1, time.monotonic() + backoff))
-                return
-            results[index] = JobResult(
-                spec=spec, key=keys[index], value=value,
-                seconds=seconds, error=err, attempts=attempt)
-            if hub is not None:
-                hub.job_finished(spec.kind, err is None, seconds)
-            job_id = obs.emit(
-                "exp.job", seconds=seconds, kind=spec.kind,
-                attempt=attempt,
-                outcome="ok" if err is None else err.kind)
-            if spans:
-                obs.adopt(spans, parent_id=job_id)
-            if err is None:
-                if metric_rows:
-                    obs.metrics.metric_set().merge(metric_rows)
-                self.cache.put(keys[index], value)
-
-        def stop_proc(proc) -> None:
-            proc.terminate()
-            proc.join(1.0)
-            if proc.is_alive():
-                proc.kill()
-                proc.join(1.0)
-
-        def reap(a: _Active, *, timed_out: bool = False) -> None:
-            active.remove(a)
-            elapsed = time.monotonic() - a.started
-            if timed_out:
-                stop_proc(a.proc)
-                a.conn.close()
-                t = self._timeout_for(specs[a.index])
-                err = JobError(exc_type="TimeoutError",
-                               message=f"job exceeded timeout of {t}s",
-                               kind="timeout")
-                finalize(a.index, a.attempt, None, elapsed, err)
-                return
-            try:
-                payload = a.conn.recv()
-            except (EOFError, OSError):
-                payload = None
-            a.conn.close()
-            a.proc.join(5.0)
-            if a.proc.is_alive():
-                stop_proc(a.proc)
-            if payload is None:
-                # Worker died without reporting: killed, OOM'd,
-                # os._exit, or an interpreter-level fault.
-                err = JobError(
-                    exc_type="WorkerCrashed",
-                    message=(f"worker exited with code "
-                             f"{a.proc.exitcode} before returning "
-                             f"a result"),
-                    kind="crash")
-                finalize(a.index, a.attempt, None, elapsed, err)
-            else:
-                value, seconds, err, spans, metric_rows = payload
-                finalize(a.index, a.attempt, value, seconds, err,
-                         spans, metric_rows)
-
-        try:
-            while queue or active:
-                if hub is not None:
-                    hub.progress(len(queue), len(active))
-                now = time.monotonic()
-                if len(active) < self.jobs and queue:
-                    ready = [p for p in queue if p.ready_at <= now]
-                    while ready and len(active) < self.jobs:
-                        item = ready.pop(0)
-                        queue.remove(item)
-                        launch(item)
-                if not active:
-                    # Only backoff-delayed retries remain: sleep until
-                    # the soonest becomes ready (a capped slice here
-                    # would wake the scheduler repeatedly for nothing).
-                    wake = min(p.ready_at for p in queue)
-                    time.sleep(max(0.0, wake - time.monotonic()))
-                    continue
-                waits = [a.deadline - now for a in active
-                         if a.deadline is not None]
-                waits += [p.ready_at - now for p in queue
-                          if p.ready_at > now]
-                timeout = max(0.0, min(waits)) if waits else None
-                ready_conns = conn_wait([a.conn for a in active],
-                                        timeout)
-                for a in [x for x in active if x.conn in ready_conns]:
-                    reap(a)
-                now = time.monotonic()
-                for a in [x for x in active
-                          if x.deadline is not None
-                          and x.deadline <= now]:
-                    reap(a, timed_out=True)
-        finally:
-            # On interruption never leave orphan workers behind.
-            for a in active:
-                stop_proc(a.proc)
-                a.conn.close()
-
-    # -- persistent-pool path (warm workers, chunked dispatch) ----------
-    def _chunk_target(self, n_pending: int) -> int:
-        """Jobs per dispatch: explicit ``chunk``, else batch-derived so
-        each worker sees ~``CHUNK_OVERSUBSCRIBE`` chunks (stragglers can
-        still load-balance), capped at ``CHUNK_MAX``."""
-        if self.chunk is not None:
-            return max(1, self.chunk)
-        per_worker = max(1, self.jobs) * CHUNK_OVERSUBSCRIBE
-        return max(1, min(CHUNK_MAX, -(-n_pending // per_worker)))
-
+    # -- pooled path (warm workers, one job per dispatch) ---------------
     def _run_persistent(self, specs: Sequence[JobSpec],
                         keys: Sequence[str],
                         results: list[JobResult | None],
                         pending_idx: list[int]) -> None:
         """Schedule the batch over the shared warm pool.
 
-        Same contract as :meth:`_run_pool` -- submission-order results,
-        per-job timeouts/retries, crash isolation, as-they-finish cache
-        writes, span/metric grafting -- but workers persist across
-        batches, jobs travel in chunks, and one streamed message per
-        job comes back (so a chunk never delays its siblings' results).
-        The head of a worker's chunk is the job actually executing;
-        when the worker dies or overruns that job's deadline, only the
-        head is charged with the failure -- the rest of the chunk never
-        started and is re-queued with its attempt count untouched.
+        Each idle worker is sent one job; its result streams back as
+        soon as it finishes, so results are cached and spans grafted
+        as they arrive.  A worker that dies or overruns its job's
+        deadline is killed and replaced, and that job is charged with
+        the failure (and retried if its spec allows).
         """
         from multiprocessing.connection import wait as conn_wait
         from . import pool as pool_mod
@@ -595,7 +342,6 @@ class ParallelRunner:
         settings = _WorkerSettings.snapshot()
         queue: deque[_Pending] = deque(
             _Pending(i, 1, 0.0) for i in pending_idx)
-        chunk_target = self._chunk_target(len(pending_idx))
         ms.gauge("exp.pool.workers", len(pl.workers))
         hub = obs.live.session_hub()
         stalled_prev: list[int] | None = None
@@ -633,16 +379,12 @@ class ParallelRunner:
                     ms.merge(metric_rows)
                 self.cache.put(keys[item.index], value)
 
-        def fail_head(w, kind: str) -> None:
-            """Charge the executing job; re-queue the rest of the chunk."""
-            head = w.inflight.popleft()
-            rest = list(w.inflight)
-            w.inflight.clear()
-            for item in reversed(rest):
-                queue.appendleft(item)
-            elapsed = time.monotonic() - w.job_started_at
+        def fail(w, kind: str) -> None:
+            """Charge the worker's job, then replace the worker."""
+            item, w.inflight = w.inflight, None
+            elapsed = time.monotonic() - w.started_at
             if kind == "timeout":
-                t = self._timeout_for(specs[head.index])
+                t = self._timeout_for(specs[item.index])
                 err = JobError(exc_type="TimeoutError",
                                message=f"job exceeded timeout of {t}s",
                                kind="timeout")
@@ -653,89 +395,53 @@ class ParallelRunner:
                              f"{w.proc.exitcode} before returning "
                              f"a result"),
                     kind="crash")
-            finalize(head, None, elapsed, err)
+            finalize(item, None, elapsed, err)
             pl.replace(w)
             if hub is not None:
                 hub.forget_worker(w.proc.pid)
-
-        def on_broken(w) -> None:
-            if w.inflight:
-                fail_head(w, "crash")
-            else:
-                pl.replace(w)
-                if hub is not None:
-                    hub.forget_worker(w.proc.pid)
 
         def on_message(w, msg) -> None:
             if msg[0] == "ack":
                 ms.dist("exp.pool.dispatch_s",
                         max(0.0, msg[1] - w.sent_at))
-                w.job_started_at = msg[1]
+                w.started_at = msg[1]
                 return
-            _, value, seconds, err, spans, metric_rows, _shm = msg
-            item = w.inflight.popleft()
+            _, value, seconds, err, spans, metric_rows = msg
+            item, w.inflight = w.inflight, None
             w.served += 1
-            w.job_started_at = time.monotonic()
-            if err is None:
-                try:
-                    value, nbytes = pool_mod.decode_value(value)
-                except Exception as exc:
-                    value, err = None, JobError(
-                        exc_type=type(exc).__name__,
-                        message=("shared-memory result decode "
-                                 f"failed: {exc}"),
-                        traceback=traceback.format_exc())
-                else:
-                    if nbytes:
-                        ms.counter("exp.pool.shm_bytes", nbytes)
             finalize(item, value, seconds, err, spans, metric_rows)
 
-        def deadline(w) -> float | None:
-            if not w.inflight:
-                return None
-            t = self._timeout_for(specs[w.inflight[0].index])
-            return None if t is None else w.job_started_at + t
+        def drain(w) -> None:
+            """Handle every message the worker has sent so far."""
+            try:
+                while w.inflight is not None and w.conn.poll():
+                    on_message(w, w.conn.recv())
+            except (EOFError, OSError):
+                fail(w, "crash")
 
-        while queue or any(w.inflight for w in pl.workers):
+        def deadline(w) -> float | None:
+            if w.inflight is None:
+                return None
+            t = self._timeout_for(specs[w.inflight.index])
+            return None if t is None else w.started_at + t
+
+        while True:
             now = time.monotonic()
-            if queue:
-                # Dispatch chunks to idle workers.  A non-chunkable
-                # spec (e.g. an already-batched tensor job) travels
-                # alone so its runtime never hides siblings.
-                ready = deque(p for p in queue if p.ready_at <= now)
-                for w in pl.workers:
-                    if not ready:
-                        break
-                    if w.inflight:
-                        continue
-                    take: list[_Pending] = []
-                    while ready and len(take) < chunk_target:
-                        if take and not specs[ready[0].index].chunkable:
-                            break
-                        take.append(ready.popleft())
-                        if not specs[take[-1].index].chunkable:
-                            break
-                    for item in take:
-                        queue.remove(item)
-                    try:
-                        pl.dispatch(w, settings,
-                                    [specs[p.index] for p in take])
-                    except Exception:
-                        for item in reversed(take):
-                            queue.appendleft(item)
-                        pl.replace(w)
-                        continue
-                    w.inflight.extend(take)
-                    w.sent_at = now
-                    w.job_started_at = now
-                    ms.dist("exp.pool.chunk_size", len(take))
-            busy = [w for w in pl.workers if w.inflight]
+            idle = [w for w in pl.workers if w.inflight is None]
+            ready = [p for p in queue if p.ready_at <= now]
+            for w, item in zip(idle, ready):
+                queue.remove(item)
+                try:
+                    pl.dispatch(w, settings, specs[item.index])
+                except Exception:
+                    queue.appendleft(item)
+                    pl.replace(w)
+                    continue
+                w.inflight = item
+                w.sent_at = w.started_at = now
+            busy = [w for w in pl.workers if w.inflight is not None]
             if hub is not None:
-                # Queue depth counts undispatched jobs plus the tail of
-                # each worker's chunk (only the chunk head executes).
-                hub.progress(
-                    len(queue) + sum(len(w.inflight) - 1 for w in busy),
-                    len(busy))
+                hub.progress(len(queue), len(busy))
             if not busy:
                 if not queue:
                     break
@@ -758,29 +464,19 @@ class ParallelRunner:
                 timeout = cap if timeout is None else min(timeout, cap)
             ready_conns = conn_wait([w.conn for w in busy], timeout)
             for w in busy:
-                if w.conn not in ready_conns:
-                    continue
-                try:
-                    while w.inflight and w.conn.poll():
-                        on_message(w, w.conn.recv())
-                except (EOFError, OSError):
-                    on_broken(w)
+                if w.conn in ready_conns:
+                    drain(w)
             now = time.monotonic()
             for w in list(pl.workers):
                 d = deadline(w)
                 if d is None or d > now:
                     continue
-                # Drain any result that raced the deadline before
+                # Handle a result that raced the deadline before
                 # declaring the timeout.
-                try:
-                    while w.inflight and w.conn.poll():
-                        on_message(w, w.conn.recv())
-                except (EOFError, OSError):
-                    on_broken(w)
-                    continue
+                drain(w)
                 d = deadline(w)
                 if d is not None and d <= now:
-                    fail_head(w, "timeout")
+                    fail(w, "timeout")
             if hub is not None:
                 stalled = hub.stalled_pids()
                 if stalled != stalled_prev:
@@ -803,13 +499,6 @@ def default_runner() -> ParallelRunner:
     ``REPRO_CACHE_DIR``    relocates the cache (see :mod:`repro.exp.cache`)
     ``REPRO_JOB_TIMEOUT``  default per-job timeout in seconds (unset,
                            empty or invalid means no timeout)
-    ``REPRO_POOL``         scheduler: ``persistent`` (warm shared pool,
-                           default) or ``per-job`` (fresh process per
-                           attempt) -- honoured by every runner that
-                           does not pass ``pool=`` explicitly
-    ``REPRO_CHUNK``        jobs per pool dispatch (``1`` disables
-                           chunking; unset or ``<= 0`` sizes chunks
-                           automatically)
 
     Invalid values fall back to the defaults rather than raising, so a
     stray environment variable can never break a batch.

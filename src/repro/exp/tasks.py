@@ -12,7 +12,6 @@ Kinds
 ``clock_cells_batch`` Table 2/3 clock-network energies (J), one batched run
 ``fig_sweep_batch``   a Fig. 8-10 / tri-state sizing grid (or any subset
                       of its points), one batched run
-``flow``              one complete VHDL-to-bitstream flow (condensed)
 ``selftest``          trivial built-in probe for engine tests
 """
 
@@ -66,8 +65,8 @@ def _selftest(x: float = 1.0, fail: bool = False,
 
     With ``array_len > 0`` the result is a float64 array of that length
     (scaled by ``x``) instead of a scalar, giving engine tests a
-    deterministic large payload to push through the pool's
-    shared-memory transport.  ``sleep_s`` pads the job's wall time --
+    deterministic large payload to push through a worker's result
+    pipe.  ``sleep_s`` pads the job's wall time --
     live-telemetry tests and the CI smoke sweep use it to keep jobs
     observably in flight (sleeping keeps heartbeats coming, so it
     models a *slow* job, never a hung worker).
@@ -119,30 +118,3 @@ def _fig_sweep_batch(points, *, metal_width: float = 1.0,
         [(w, int(length)) for w, length in points],
         metal_width=metal_width, metal_spacing=metal_spacing,
         switch_type=switch_type, tech=tech or STM018, dt=dt)
-
-
-# ---------------------------------------------------------------------------
-# CAD-flow benchmarks
-# ---------------------------------------------------------------------------
-
-@task("flow")
-def _flow(vhdl: str, *, seed: int = 1, place_effort: float = 1.0,
-          min_channel_width: bool = False, gated_clock: bool = True,
-          f_clk_hz: float | None = None, arch=None,
-          use_cache: bool = True) -> dict[str, Any]:
-    """Run the full flow; return a condensed, picklable QoR record."""
-    from ..arch import DEFAULT_ARCH
-    from ..flow.flow import FlowOptions, _run_flow
-    options = FlowOptions(arch=arch or DEFAULT_ARCH, seed=seed,
-                          place_effort=place_effort,
-                          min_channel_width=min_channel_width,
-                          gated_clock=gated_clock, f_clk_hz=f_clk_hz,
-                          use_cache=use_cache)
-    res = _run_flow(vhdl, options)
-    return {
-        "summary": res.summary(),
-        "bitstream": res.bitstream,
-        "placement": {block: (site.x, site.y, site.sub)
-                      for block, site in res.placement.loc.items()},
-        "stage_seconds": dict(res.stage_seconds),
-    }

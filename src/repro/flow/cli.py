@@ -140,14 +140,12 @@ def _config_from_args(args) -> api.Config:
     everything else falls through :meth:`repro.api.Config.from_env`.
     """
     jobs = getattr(args, "jobs", None)
-    pool = getattr(args, "pool", None)
     timeout = getattr(args, "job_timeout", None)
     return api.Config.from_env(
         jobs=UNSET if jobs is None else jobs,
         cache=False if getattr(args, "no_cache", False) else UNSET,
         cache_dir=getattr(args, "cache_dir", None) or UNSET,
         job_timeout_s=UNSET if timeout is None else timeout,
-        pool=UNSET if pool is None else pool,
         trace=getattr(args, "trace", None) or UNSET,
         run_db=getattr(args, "run_db", None) or UNSET,
     )
@@ -244,12 +242,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--job-timeout", dest="job_timeout", type=float,
                    default=None, metavar="S",
                    help="kill any single job after S seconds")
-    p.add_argument("--pool", choices=["persistent", "per-job"],
-                   default=None,
-                   help="scheduler: warm shared worker pool "
-                        "(persistent, default) or a fresh process per "
-                        "job attempt (per-job); default honours "
-                        "$REPRO_POOL")
     p.add_argument("-o", "--output", default=None,
                    help="write the result rows as JSON here")
     _add_cache_args(p)

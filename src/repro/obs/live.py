@@ -34,7 +34,7 @@ publishes it two ways:
 The whole bus is opt-in via ``REPRO_TELEMETRY`` (truthy, or a
 directory path for the snapshots) and zero-cost when off: no hub, no
 queue reads, no emitter threads, no snapshot files -- workers check
-one forwarded environment flag per chunk and the span hook is a single
+one forwarded environment flag per job and the span hook is a single
 global ``None`` test.  ``benchmarks/test_trace_overhead.py`` holds the
 enabled path to the same <5 % budget as the rest of the stack.
 """

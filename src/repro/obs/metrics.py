@@ -509,17 +509,9 @@ for _spec in [
                "processes spawned (pool creation plus crash/timeout "
                "replacements)", direction="lower"),
     MetricSpec("exp.pool.reuse", DIST, "jobs", "jobs served per pooled "
-               "worker over its lifetime (the per-job scheduler is "
-               "pinned at 1 by construction)", direction="higher"),
-    MetricSpec("exp.pool.chunk_size", DIST, "jobs", "jobs grouped into "
-               "one pool dispatch to amortize IPC"),
-    MetricSpec("exp.pool.dispatch_s", DIST, "s", "latency from chunk "
+               "worker over its lifetime", direction="higher"),
+    MetricSpec("exp.pool.dispatch_s", DIST, "s", "latency from job "
                "send to worker acknowledgement", direction="lower"),
-    MetricSpec("exp.pool.shm_bytes", COUNTER, "B", "result payload "
-               "moved through shared memory instead of pipe pickling"),
-    MetricSpec("exp.pool.speedup", GAUGE, "x", "measured warm-pool "
-               "speedup over the process-per-job scheduler",
-               direction="higher"),
     MetricSpec("exp.pool.stalled", GAUGE, "procs", "busy pooled "
                "workers whose live-telemetry heartbeats have gone "
                "stale (hung-worker suspects)", direction="lower"),

@@ -18,7 +18,6 @@ class TestConfigPrecedence:
     def test_builtin_defaults(self, monkeypatch):
         for name in ("REPRO_JOBS", "REPRO_NO_CACHE", "REPRO_CACHE_DIR",
                      "REPRO_CACHE_LRU_MB", "REPRO_JOB_TIMEOUT",
-                     "REPRO_POOL", "REPRO_CHUNK", "REPRO_SHM_MIN_BYTES",
                      "REPRO_TRACE", "REPRO_RUN_DB"):
             monkeypatch.delenv(name, raising=False)
         cfg = Config.from_env()
@@ -27,9 +26,6 @@ class TestConfigPrecedence:
         assert cfg.cache_dir is None
         assert cfg.cache_lru_mb == 64.0
         assert cfg.job_timeout_s is None
-        assert cfg.pool == "persistent"
-        assert cfg.chunk is None
-        assert cfg.shm_min_bytes == 64 * 1024
         assert cfg.telemetry is False
         assert cfg.hb_interval_s == 0.5
         assert cfg.trace is None
@@ -38,26 +34,19 @@ class TestConfigPrecedence:
     def test_env_beats_default(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "3")
         monkeypatch.setenv("REPRO_NO_CACHE", "1")
-        monkeypatch.setenv("REPRO_POOL", "per-job")
-        monkeypatch.setenv("REPRO_CHUNK", "7")
         monkeypatch.setenv("REPRO_JOB_TIMEOUT", "12.5")
         monkeypatch.setenv("REPRO_CACHE_LRU_MB", "8")
         cfg = Config.from_env()
         assert cfg.jobs == 3
         assert cfg.cache is False
-        assert cfg.pool == "per-job"
-        assert cfg.chunk == 7
         assert cfg.job_timeout_s == 12.5
         assert cfg.cache_lru_mb == 8.0
 
     def test_explicit_beats_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "3")
-        monkeypatch.setenv("REPRO_POOL", "per-job")
         monkeypatch.setenv("REPRO_JOB_TIMEOUT", "12.5")
-        cfg = Config.from_env(jobs=5, pool="persistent",
-                              job_timeout_s=None)
+        cfg = Config.from_env(jobs=5, job_timeout_s=None)
         assert cfg.jobs == 5
-        assert cfg.pool == "persistent"
         # An explicit None wins over the env, unlike UNSET.
         assert cfg.job_timeout_s is None
 
@@ -67,22 +56,14 @@ class TestConfigPrecedence:
 
     def test_invalid_env_falls_back(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "not-a-number")
-        monkeypatch.setenv("REPRO_POOL", "bogus")
         monkeypatch.setenv("REPRO_JOB_TIMEOUT", "-3")
-        monkeypatch.setenv("REPRO_CHUNK", "zero")
         cfg = Config.from_env()
         assert cfg.jobs == 1
-        assert cfg.pool == "persistent"
         assert cfg.job_timeout_s is None
-        assert cfg.chunk is None
 
     def test_unknown_field_raises(self):
         with pytest.raises(TypeError, match="jbos"):
             Config.from_env(jbos=2)
-
-    def test_invalid_pool_raises(self):
-        with pytest.raises(ValueError, match="pool"):
-            Config(pool="magic")
 
     def test_telemetry_env_forms(self, monkeypatch):
         monkeypatch.setenv("REPRO_TELEMETRY", "1")
@@ -96,9 +77,9 @@ class TestConfigPrecedence:
         assert Config.from_env().telemetry is False
 
     def test_to_env_round_trips(self, monkeypatch):
-        cfg = Config(jobs=4, cache=False, pool="per-job", chunk=3,
-                     job_timeout_s=9.0, hb_interval_s=0.25,
-                     cache_lru_mb=16.0, run_db="/tmp/r.db")
+        cfg = Config(jobs=4, cache=False, job_timeout_s=9.0,
+                     hb_interval_s=0.25, cache_lru_mb=16.0,
+                     run_db="/tmp/r.db")
         for name in list(cfg.to_env()):
             monkeypatch.delenv(name, raising=False)
         for name, value in cfg.to_env().items():
@@ -110,12 +91,10 @@ class TestConfigPrecedence:
 
     def test_runner_resolves_from_config_not_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "9")
-        monkeypatch.setenv("REPRO_POOL", "per-job")
-        runner = Config.from_env(jobs=2, pool="persistent",
-                                 chunk=5).runner()
+        monkeypatch.setenv("REPRO_JOB_TIMEOUT", "12.5")
+        runner = Config.from_env(jobs=2, job_timeout_s=3.0).runner()
         assert runner.jobs == 2
-        assert runner.pool == "persistent"
-        assert runner.chunk == 5
+        assert runner.timeout_s == 3.0
 
     def test_runner_cache_matches_config(self, tmp_path):
         cfg = Config(cache=True, cache_dir=str(tmp_path / "c"))

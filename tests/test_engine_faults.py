@@ -289,8 +289,7 @@ class TestPoolFaultMatrix:
         specs += [JobSpec.make("_test_quick", tag=t, timeout_s=25.0)
                   for t in range(1, 5)]
         with obs.metrics.collect() as ms:
-            results = runner(tmp_path, pool="persistent",
-                             backoff_s=0.01).run(specs)
+            results = runner(tmp_path, backoff_s=0.01).run(specs)
         shooter.join(5.0)
 
         victim, *healthy = results
@@ -317,79 +316,44 @@ class TestPoolFaultMatrix:
                  JobSpec.make("_test_quick", tag=1, timeout_s=25.0),
                  JobSpec.make("_test_quick", tag=2, timeout_s=25.0)]
         t0 = time.monotonic()
-        timed, a, b = runner(tmp_path, pool="persistent").run(specs)
+        timed, a, b = runner(tmp_path).run(specs)
         assert time.monotonic() - t0 < 10.0
         assert not timed.ok and timed.error.is_timeout
         assert "0.5" in timed.error.message
         assert a.ok and a.value["tag"] == 1
         assert b.ok and b.value["tag"] == 2
 
-    def test_chunked_siblings_requeue_without_burning_attempts(
-            self, tmp_path):
-        """Kill the worker while it runs the head of a chunk: the
-        sibling jobs queued behind it in the same chunk must complete
-        with ``attempts == 1`` (they never started)."""
-        pid_file = str(tmp_path / "victim.pid")
-        marker = str(tmp_path / "ran.once")
-
-        def sniper():
-            deadline = time.monotonic() + 20.0
-            while time.monotonic() < deadline:
-                if os.path.exists(pid_file):
-                    os.kill(int(open(pid_file).read()), signal.SIGKILL)
-                    return
-                time.sleep(0.005)
-
-        threading.Thread(target=sniper, daemon=True).start()
-        specs = [JobSpec.make("_test_killable", pid_file=pid_file,
-                              once_marker=marker, retries=1,
-                              timeout_s=25.0)]
-        specs += [JobSpec.make("_test_quick", tag=t, timeout_s=25.0)
-                  for t in range(1, 9)]
-        # One worker and one big chunk: every job rides behind the
-        # victim in its chunk.
-        results = ParallelRunner(jobs=1, cache=NullCache(),
-                                 pool="persistent", chunk=16,
-                                 timeout_s=25.0,
-                                 backoff_s=0.01).run(specs)
-        victim, *rest = results
-        assert victim.ok and victim.attempts == 2
-        assert all(r.ok and r.attempts == 1 for r in rest)
-        assert [r.value["tag"] for r in rest] == list(range(1, 9))
-
     def test_pool_worker_reuse_across_batches(self, tmp_path):
         specs = [JobSpec.make("_test_quick", tag=t) for t in range(6)]
-        r = ParallelRunner(jobs=3, cache=NullCache(), pool="persistent")
+        r = ParallelRunner(jobs=3, cache=NullCache())
         pids_a = {x.value["pid"] for x in r.run(specs)}
-        pids_b = {x.value["pid"] for x in r.run(specs)}
+        with obs.metrics.collect() as ms:
+            pids_b = {x.value["pid"] for x in r.run(specs)}
         assert pids_a == pids_b, "warm workers were not reused"
         assert len(pids_a) <= 3
+        rows = {row["name"]: row for row in ms.export()}
+        # A warm pool serves the batch without spawning anyone new...
+        assert "exp.pool.spawns" not in rows
+        # ...and every job counts toward some worker's lifetime reuse.
+        assert rows["exp.pool.reuse"]["total"] >= len(specs)
 
 
 class TestPoolDeterminism:
-    def test_values_identical_across_workers_chunking_and_modes(
-            self, tmp_path):
+    def test_values_identical_across_worker_counts(self, tmp_path):
         """Acceptance contract: bit-identical JobResult values for
-        jobs=1/2/8, chunking on/off, and both pool modes."""
+        jobs=1 (inline), 2 and 8 (pooled), including a 160 kB array
+        result that crosses the worker's pipe."""
         specs = [JobSpec.make("selftest", x=float(t))
                  for t in range(12)]
         specs.append(JobSpec.make("selftest", x=3.5, array_len=20_000))
         baseline = None
         for jobs in (1, 2, 8):
-            for chunk in (1, 4):
-                res = ParallelRunner(jobs=jobs, cache=NullCache(),
-                                     pool="persistent",
-                                     chunk=chunk).run(specs)
-                assert all(r.ok for r in res)
-                blob = pickle.dumps([r.value for r in res])
-                if baseline is None:
-                    baseline = blob
-                assert blob == baseline, \
-                    f"jobs={jobs} chunk={chunk} diverged"
-        res = ParallelRunner(jobs=4, cache=NullCache(),
-                             pool="per-job").run(specs)
-        assert pickle.dumps([r.value for r in res]) == baseline, \
-            "per-job oracle diverged from the persistent pool"
+            res = ParallelRunner(jobs=jobs, cache=NullCache()).run(specs)
+            assert all(r.ok for r in res)
+            blob = pickle.dumps([r.value for r in res])
+            if baseline is None:
+                baseline = blob
+            assert blob == baseline, f"jobs={jobs} diverged"
 
 
 class TestJobErrorShape:

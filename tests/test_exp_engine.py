@@ -3,11 +3,9 @@
 Covers the runner contract (deterministic ordering, timing and failure
 capture), cache behaviour (hit/miss accounting, the in-process LRU
 layer, pruning, warm-run speedup, atomic sharing between runners),
-scheduler selection (``pool=`` / ``REPRO_POOL``), the pool's
-shared-memory transport and wire protocol, and the determinism lock
-the engine rework must preserve: the design flow yields an identical
-bitstream and placement whether run serially or fanned out over a
-worker pool.
+where engine knobs are read from the environment, the pool's wire
+protocol, and the design flow's determinism across seeds and hash
+seeds.
 """
 
 import os
@@ -37,10 +35,10 @@ def _echo(**params):
 
 class TestJobSpec:
     def test_known_kinds_registered(self):
-        assert {"detff_batch", "clock_cells_batch", "fig_sweep_batch",
-                "flow"} <= set(registered_kinds())
-        assert not {"detff", "clock_cell",
-                    "fig_point"} & set(registered_kinds())
+        # Test modules register their own kinds under a leading "_".
+        assert [k for k in registered_kinds() if not k.startswith("_")] \
+            == ["clock_cells_batch", "detff_batch", "fig_sweep_batch",
+                "selftest"]
 
     def test_key_is_stable_and_param_order_free(self):
         a = JobSpec.make("fig_sweep_batch", points=[[2.0, 4]], dt=4e-12)
@@ -193,6 +191,13 @@ class TestParallelRunner:
         monkeypatch.delenv("REPRO_JOB_TIMEOUT")
         assert default_runner().timeout_s is None
 
+    def test_only_default_runner_reads_job_timeout_env(self, monkeypatch):
+        # Config.from_env() is the one reader of engine knobs: a runner
+        # built directly takes its timeout from its arguments alone.
+        monkeypatch.setenv("REPRO_JOB_TIMEOUT", "2.5")
+        assert ParallelRunner(jobs=2, cache=NullCache()).timeout_s is None
+        assert default_runner().timeout_s == 2.5
+
     @pytest.mark.parametrize("value", ["", "nope", "1.5x", "-3", "0"])
     def test_invalid_job_timeout_falls_back_to_none(self, monkeypatch,
                                                     value):
@@ -319,113 +324,14 @@ class TestCacheMaintenance:
 
 
 # ---------------------------------------------------------------------------
-# Scheduler selection (pool= / REPRO_POOL, chunk= / REPRO_CHUNK)
+# The pool's wire protocol
 # ---------------------------------------------------------------------------
 
-class TestPoolSelection:
-    def test_env_selects_scheduler(self, monkeypatch):
-        monkeypatch.setenv("REPRO_POOL", "per-job")
-        assert default_runner().pool == "per-job"
-        monkeypatch.setenv("REPRO_POOL", "persistent")
-        assert default_runner().pool == "persistent"
-        monkeypatch.delenv("REPRO_POOL")
-        assert default_runner().pool == "persistent"
-
-    @pytest.mark.parametrize("value", ["", "magic", "PERJOB"])
-    def test_invalid_env_falls_back_to_persistent(self, monkeypatch,
-                                                  value):
-        monkeypatch.setenv("REPRO_POOL", value)
-        assert default_runner().pool == "persistent"
-
-    def test_explicit_argument_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_POOL", "persistent")
-        runner = ParallelRunner(pool="per-job", cache=NullCache())
-        assert runner.pool == "per-job"
-
-    def test_invalid_explicit_argument_raises(self):
-        with pytest.raises(ValueError, match="pool must be one of"):
-            ParallelRunner(pool="magic", cache=NullCache())
-
-    def test_chunk_env_parsing(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHUNK", "7")
-        assert default_runner().chunk == 7
-        for auto in ("0", "-1", "nope", ""):
-            monkeypatch.setenv("REPRO_CHUNK", auto)
-            assert default_runner().chunk is None
-
-    def test_chunk_target_scaling(self):
-        runner = ParallelRunner(jobs=4, cache=NullCache())
-        assert runner._chunk_target(4) == 1
-        assert runner._chunk_target(200) == 13  # ceil(200 / (4 * 4))
-        assert runner._chunk_target(10**6) == 32  # capped
-        fixed = ParallelRunner(jobs=2, cache=NullCache(), chunk=5)
-        assert fixed._chunk_target(1000) == 5
-
-
-# ---------------------------------------------------------------------------
-# Shared-memory transport and the pool wire protocol
-# ---------------------------------------------------------------------------
-
-class TestShmTransport:
-    def test_encode_decode_roundtrip_is_bit_identical(self):
-        np = pytest.importorskip("numpy")
-        from multiprocessing import shared_memory
-
-        from repro.exp import pool as pool_mod
-        arr = np.arange(50_000, dtype=np.float64)
-        value = {"a": arr, "nested": [1, (arr * 2.0,)], "s": "text"}
-        encoded, names, nbytes = pool_mod.encode_value(value,
-                                                       min_bytes=1024)
-        assert len(names) == 2
-        assert nbytes == 2 * arr.nbytes
-        assert isinstance(encoded["a"], pool_mod.ShmRef)
-        decoded, got = pool_mod.decode_value(encoded)
-        assert got == nbytes
-        assert pickle.dumps(decoded) == pickle.dumps(value)
-        # Decode unlinks every segment; nothing leaks.
-        for name in names:
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
-
-    def test_small_and_noncontiguous_arrays_stay_inline(self):
-        np = pytest.importorskip("numpy")
-        from repro.exp import pool as pool_mod
-        small = np.arange(4, dtype=np.float64)
-        fortran = np.asfortranarray(
-            np.arange(10_000, dtype=np.float64).reshape(100, 100))
-        strided = np.arange(50_000, dtype=np.float64)[::2]
-        encoded, names, nbytes = pool_mod.encode_value(
-            [small, fortran, strided], min_bytes=1024)
-        assert names == [] and nbytes == 0
-        assert encoded[0] is small and encoded[1] is fortran
-        assert encoded[2] is strided
-
-    def test_disabled_transport_passes_values_through(self, monkeypatch):
-        np = pytest.importorskip("numpy")
-        from repro.exp import pool as pool_mod
-        monkeypatch.setenv("REPRO_SHM_MIN_BYTES", "0")
-        assert pool_mod.shm_min_bytes() is None
-        arr = np.arange(50_000, dtype=np.float64)
-        encoded, names, nbytes = pool_mod.encode_value(arr)
-        assert encoded is arr and names == [] and nbytes == 0
-
-    def test_release_segments_unlinks_orphans(self):
-        np = pytest.importorskip("numpy")
-        from multiprocessing import shared_memory
-
-        from repro.exp import pool as pool_mod
-        arr = np.arange(20_000, dtype=np.float64)
-        _, names, _ = pool_mod.encode_value(arr, min_bytes=1024)
-        assert names
-        pool_mod.release_segments(names)
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=names[0])
-        pool_mod.release_segments(names)  # idempotent
-
+class TestWireProtocol:
     def test_worker_loop_protocol_in_thread(self):
         # Drive the worker main loop over a real Pipe from a thread:
-        # one ack per chunk, one result per job in chunk order, clean
-        # exit on "stop".
+        # one ack then one result per job message, clean exit on
+        # "stop".
         import multiprocessing as mp
 
         from repro.exp.pool import _pool_worker_main
@@ -433,25 +339,21 @@ class TestShmTransport:
         worker = threading.Thread(target=_pool_worker_main,
                                   args=(child,), daemon=True)
         worker.start()
-        specs = [JobSpec.make("selftest", x=2.0),
-                 JobSpec.make("selftest", x=3.0)]
-        t_sent = time.monotonic()
-        parent.send(("run", None, specs))
-        op, t_recv = parent.recv()
-        assert op == "ack" and t_recv >= t_sent
-        for expected in (4.0, 6.0):
-            op, value, seconds, err, spans, metric_rows, shm_bytes = \
-                parent.recv()
+        for x in (2.0, 3.0):
+            t_sent = time.monotonic()
+            parent.send(("run", None, JobSpec.make("selftest", x=x)))
+            op, t_recv = parent.recv()
+            assert op == "ack" and t_recv >= t_sent
+            op, value, seconds, err, spans, metric_rows = parent.recv()
             assert op == "res" and err is None
-            assert value == expected and seconds >= 0
-            assert shm_bytes == 0
+            assert value == 2.0 * x and seconds >= 0
             assert isinstance(spans, list)
             assert isinstance(metric_rows, list)
         # Failures travel as structured errors, not crashes.
         parent.send(("run", None,
-                     [JobSpec.make("selftest", x=1.0, fail=True)]))
+                     JobSpec.make("selftest", x=1.0, fail=True)))
         assert parent.recv()[0] == "ack"
-        op, value, _, err, _, _, _ = parent.recv()
+        op, value, _, err, _, _ = parent.recv()
         assert op == "res" and value is None
         assert err is not None and err.exc_type == "RuntimeError"
         parent.send(("stop",))
@@ -460,22 +362,10 @@ class TestShmTransport:
 
 
 # ---------------------------------------------------------------------------
-# Determinism: serial flow == flow fanned over the pool
+# Determinism of the design flow
 # ---------------------------------------------------------------------------
 
 class TestFlowDeterminism:
-    def test_same_seed_identical_bitstream_serial_vs_jobs4(self):
-        serial = run_flow(COUNTER_VHDL,
-                          FlowOptions(seed=1, use_cache=False))
-        specs = [JobSpec.make("flow", vhdl=COUNTER_VHDL, seed=1,
-                              use_cache=False) for _ in range(4)]
-        runner = ParallelRunner(jobs=4, cache=NullCache())
-        for out in runner.run_values(specs):
-            assert out["bitstream"] == serial.bitstream
-            assert out["placement"] == {
-                b: (s.x, s.y, s.sub)
-                for b, s in serial.placement.loc.items()}
-
     def test_different_seed_changes_placement(self):
         a = run_flow(COUNTER_VHDL, FlowOptions(seed=1, use_cache=False))
         b = run_flow(COUNTER_VHDL, FlowOptions(seed=7, use_cache=False))

@@ -470,11 +470,7 @@ class TestDisabled:
 
 class TestEndToEnd:
     def _start_sweep(self, n_jobs=50, sleep_s=0.25, jobs=4):
-        # Worker-side streaming (heartbeats, per-worker state) is a
-        # persistent-pool feature, so pin the scheduler: this suite
-        # must test the same thing under the per-job CI leg.
-        r = ParallelRunner(jobs=jobs, use_cache=False,
-                           pool="persistent")
+        r = ParallelRunner(jobs=jobs, use_cache=False)
         specs = [JobSpec(kind="selftest",
                          params={"x": float(i), "sleep_s": sleep_s})
                  for i in range(n_jobs)]
@@ -604,8 +600,7 @@ class TestEndToEnd:
         ms = obs.MetricSet()
         try:
             with obs.metrics.collect(ms):
-                r = ParallelRunner(jobs=2, use_cache=False,
-                                   pool="persistent")
+                r = ParallelRunner(jobs=2, use_cache=False)
                 specs = [JobSpec(kind="selftest",
                                  params={"x": float(i),
                                          "sleep_s": 0.3})
