@@ -9,9 +9,12 @@ half-written entry reads back as a miss.
 Warm-key lookups inside one session additionally hit a bytes-bounded
 LRU of pickled blobs (``REPRO_CACHE_LRU_MB``, default 64 MiB, ``0``
 disables): a repeat ``get`` skips the disk read entirely and only pays
-one ``pickle.loads``.  The LRU stores *bytes*, not live objects, so a
-hit always returns a fresh value -- callers can never mutate each
-other's results through the cache.
+one ``pickle.loads``.  A blob enters the LRU on its first ``get``, not
+on ``put``, so a process that only writes results (the job server
+answers resubmits from its artifact store) holds none of them in
+memory.  The LRU stores *bytes*, not live objects, so a hit always
+returns a fresh value -- callers can never mutate each other's results
+through the cache.
 
 The default location is ``$REPRO_CACHE_DIR`` or ``~/.cache/repro-exp``.
 """
@@ -139,7 +142,7 @@ class ResultCache:
         finally:
             if tmp.exists():
                 tmp.unlink(missing_ok=True)
-        self._lru_store(key, blob)
+        self._lru_drop(key)
         self.puts += 1
 
     def __contains__(self, key: str) -> bool:

@@ -477,9 +477,8 @@ for _spec in [
                "attempted"),
     MetricSpec("place.bbox_cost", GAUGE, "bb", "final placement cost",
                direction="lower", rel_tol=0.02, gate=True),
-    MetricSpec("place.incremental_evals", COUNTER, "evals", "move "
-               "evaluations served by the incremental bounding-box "
-               "cost structures"),
+    MetricSpec("place.incremental_evals", COUNTER, "evals", "net "
+               "bounding boxes recomputed to score annealing moves"),
     MetricSpec("route.iterations", COUNTER, "iters", "PathFinder "
                "rip-up/re-route iterations", direction="lower"),
     MetricSpec("route.overused", GAUGE, "nodes", "overused rr-nodes at "

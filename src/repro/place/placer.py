@@ -16,8 +16,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-
-import numpy as np
+from operator import itemgetter
 
 from .. import obs
 from ..arch.fabric import FabricGrid, Site
@@ -74,167 +73,130 @@ def wirelength_cost(placement: dict[str, Site],
 
 
 class _IncrementalCost:
-    """O(pins-moved) cost model with per-net running bbox bounds.
+    """Bounding-box cost over integer block ids and coordinate arrays.
 
-    Each net keeps one flat record ``[min_x, c_min_x, max_x, c_max_x,
-    min_y, c_min_y, max_y, c_max_y, cost]`` where the ``c_*`` entries
-    count how many member blocks sit on that boundary; a move updates
-    only the nets touching the moved blocks in O(1), rescanning an
-    axis over the net's members only when a boundary count drops to
-    zero.  Net ids are assigned in sorted-name order so iterating ids
-    ascending reproduces a from-scratch model's ``sorted(affected)``
-    float-summation order exactly; spans stay python ints and costs
-    are the same ``q * span`` product, so every delta is bit-identical
-    to recomputing each affected net's bbox (the reference model lives
-    in ``tests/oracles/place.py``).
+    ``x`` and ``y`` are every block's live coordinates, indexed by
+    block id (``loc`` order).  The placer writes a tentative move into
+    them and calls :meth:`trial` with the affected nets: each affected
+    net's bbox is recomputed from the arrays (two-block nets take a
+    fast path) into a scratch list, and the cost delta returned.
+    :meth:`commit` keeps the scratch costs once the move is accepted;
+    a rejected move only restores the coordinates.
+
+    Net ids are assigned in sorted-name order and ``nets_of[b]`` is
+    block ``b``'s ascending net-id tuple, so deltas sum over the
+    affected nets in the reference model's ``sorted(affected)`` order;
+    spans stay python ints and each net costs the same ``q * span``
+    product, so every delta and total is bit-identical to recomputing
+    from scratch (the reference model lives in
+    ``tests/oracles/place.py``).
     """
 
     def __init__(self, loc: dict[str, Site], nets: dict[str, dict]):
         names = sorted(nets)
-        self.idx = {n: i for i, n in enumerate(names)}
-        self.bid = {b: i for i, b in enumerate(loc)}
-        self.bx = [s.x for s in loc.values()]
-        self.by = [s.y for s in loc.values()]
-        nn = len(names)
-        self.q = [0.0] * nn
-        self.members: list[list[int]] = [[] for _ in range(nn)]
-        self.bounds: list[list] = [[] for _ in range(nn)]
-        self._by_block: list[list[int]] = [[] for _ in self.bid]
-        for name, net in nets.items():
-            i = self.idx[name]
+        idx = {n: i for i, n in enumerate(names)}
+        bid = {b: i for i, b in enumerate(loc)}
+        self.x = [s.x for s in loc.values()]
+        self.y = [s.y for s in loc.values()]
+        self.q: list[float] = []
+        # Per net: its two blocks (a one-block net repeats it), or an
+        # itemgetter over its three or more distinct blocks.
+        self.pins: list = []
+        nets_of: list[list[int]] = [[] for _ in bid]
+        for i, name in enumerate(names):
+            net = nets[name]
             pins = [net["driver"], *net["sinks"]]
-            self.q[i] = _q(len(pins))
-            uniq = sorted({self.bid[b] for b in pins})
-            self.members[i] = uniq
+            self.q.append(_q(len(pins)))
+            uniq = sorted({bid[b] for b in pins})
+            self.pins.append((uniq[0], uniq[-1]) if len(uniq) <= 2
+                             else itemgetter(*uniq))
             for b in uniq:
-                self._by_block[b].append(i)
-            xs = [self.bx[b] for b in uniq]
-            ys = [self.by[b] for b in uniq]
-            mnx, mxx = min(xs), max(xs)
-            mny, mxy = min(ys), max(ys)
-            span = (mxx - mnx + 1) + (mxy - mny + 1)
-            self.bounds[i] = [mnx, xs.count(mnx), mxx, xs.count(mxx),
-                              mny, ys.count(mny), mxy, ys.count(mxy),
-                              self.q[i] * span]
-        # Drift-cancel totals sum in nets-dict insertion order, the
-        # same order as wirelength_cost().
-        self._order = [self.idx[n] for n in nets]
+                nets_of[b].append(i)
+        self.nets_of = [tuple(ids) for ids in nets_of]
+        # Initial costs: a committed trial of every net from zero.
+        self.cost = [0.0] * len(names)
         self.evals = 0
-        self._snap: list[tuple[int, list]] = []
+        every = range(len(names))
+        self.trial(every)
+        self.commit(every)
+        self.evals = 0
+        # Totals sum in nets-dict insertion order, the same order as
+        # wirelength_cost().
+        self._order = [idx[n] for n in nets]
 
-    def affected(self, block: str, other: str | None) -> list[int]:
-        s = set(self._by_block[self.bid[block]])
-        if other is not None:
-            s |= set(self._by_block[self.bid[other]])
-        return sorted(s)
-
-    def trial(self, affected: list[int], moves) -> float:
+    def trial(self, affected) -> float:
+        """Cost delta of the coordinates now in ``x`` and ``y``."""
         self.evals += len(affected)
-        bounds = self.bounds
-        bx = self.bx
-        by = self.by
+        x = self.x
+        y = self.y
         q = self.q
-        snap = [(i, bounds[i].copy()) for i in affected]
-        self._snap = snap
-        # Apply one move at a time so any axis rescan sees coordinates
-        # consistent with the bounds being rebuilt.
-        for blk, old_site, new_site in moves:
-            bid = self.bid[blk]
-            ox = old_site.x
-            oy = old_site.y
-            wx = new_site.x
-            wy = new_site.y
-            bx[bid] = wx
-            by[bid] = wy
-            for i in self._by_block[bid]:
-                b = bounds[i]
-                changed = False
-                if wx != ox:
-                    m = b[0]
-                    M = b[2]
-                    cm = b[1]
-                    cM = b[3]
-                    if ox == m:
-                        cm -= 1
-                    if ox == M:
-                        cM -= 1
-                    # A stale m/M is still a valid lower/upper bound
-                    # of the remaining members, so these comparisons
-                    # hold even when a count just dropped to zero.
-                    if wx < m:
-                        b[0] = wx
-                        cm = 1
-                    elif wx == m:
-                        cm += 1
-                    if wx > M:
-                        b[2] = wx
-                        cM = 1
-                    elif wx == M:
-                        cM += 1
-                    if cm <= 0 or cM <= 0:
-                        xs = [bx[mm] for mm in self.members[i]]
-                        mn = min(xs)
-                        b[0] = mn
-                        cm = xs.count(mn)
-                        mx = max(xs)
-                        b[2] = mx
-                        cM = xs.count(mx)
-                    b[1] = cm
-                    b[3] = cM
-                    changed = True
-                if wy != oy:
-                    m = b[4]
-                    M = b[6]
-                    cm = b[5]
-                    cM = b[7]
-                    if oy == m:
-                        cm -= 1
-                    if oy == M:
-                        cM -= 1
-                    if wy < m:
-                        b[4] = wy
-                        cm = 1
-                    elif wy == m:
-                        cm += 1
-                    if wy > M:
-                        b[6] = wy
-                        cM = 1
-                    elif wy == M:
-                        cM += 1
-                    if cm <= 0 or cM <= 0:
-                        ys = [by[mm] for mm in self.members[i]]
-                        mn = min(ys)
-                        b[4] = mn
-                        cm = ys.count(mn)
-                        mx = max(ys)
-                        b[6] = mx
-                        cM = ys.count(mx)
-                    b[5] = cm
-                    b[7] = cM
-                    changed = True
-                if changed:
-                    b[8] = q[i] * ((b[2] - b[0] + 1)
-                                   + (b[6] - b[4] + 1))
+        pins = self.pins
+        cost = self.cost
+        new = self._new = []
         delta = 0.0
-        for i, saved in snap:
-            delta += bounds[i][8] - saved[8]
+        for i in affected:
+            p = pins[i]
+            if p.__class__ is tuple:
+                a, b = p
+                c = q[i] * (abs(x[a] - x[b]) + abs(y[a] - y[b]) + 2)
+            else:
+                xs = p(x)
+                ys = p(y)
+                c = q[i] * ((max(xs) - min(xs) + 1)
+                            + (max(ys) - min(ys) + 1))
+            new.append(c)
+            delta += c - cost[i]
         return delta
 
-    def revert(self, affected: list[int], moves) -> None:
-        for blk, old_site, _new in moves:
-            bid = self.bid[blk]
-            self.bx[bid] = old_site.x
-            self.by[bid] = old_site.y
-        bounds = self.bounds
-        for i, saved in self._snap:
-            bounds[i][:] = saved
+    def commit(self, affected) -> None:
+        """Keep the last trial's net costs: its move was accepted."""
+        cost = self.cost
+        for i, c in zip(affected, self._new):
+            cost[i] = c
 
     def total(self) -> float:
         c = 0.0
-        bounds = self.bounds
+        cost = self.cost
         for i in self._order:
-            c += bounds[i][8]
+            c += cost[i]
         return c
+
+
+class _Board:
+    """Who sits where, over integer block ids (``loc`` order).
+
+    The first ``n_clb`` blocks of ``loc`` are CLBs and occupy a flat
+    grid ``occ[x * stride + y]`` (-1 when empty); IO pad ``b`` sits on
+    ``io_sites[site_of[b]]`` and ``free_io`` lists the empty IO site
+    indices.  ``movable`` holds the blocks on some net, CLBs first:
+    ``n_movable_clb`` of them, then ``pads``.
+    """
+
+    def __init__(self, size: int, loc: dict[str, Site], n_clb: int,
+                 io_sites: list[Site], movable: list[int]):
+        self.size = size
+        self.stride = size + 1
+        self.occ = [-1] * (self.stride * self.stride)
+        sites = list(loc.values())
+        for b, s in enumerate(sites[:n_clb]):
+            self.occ[s.x * self.stride + s.y] = b
+        # IO pad j of loc sits on io_sites[j]; the rest are free.
+        n_io = len(sites) - n_clb
+        self.site_of = [-1] * n_clb + list(range(n_io))
+        self.free_io = list(range(n_io, len(io_sites)))
+        self.io_sites = io_sites
+        self.io_x = [s.x for s in io_sites]
+        self.io_y = [s.y for s in io_sites]
+        self.n_clb = n_clb
+        self.movable = movable
+        self.n_movable_clb = sum(b < n_clb for b in movable)
+        self.pads = movable[self.n_movable_clb:]
+
+    def loc(self, names: list[str], x: list[int],
+            y: list[int]) -> dict[str, Site]:
+        return {name: (Site("clb", x[b], y[b]) if b < self.n_clb
+                       else self.io_sites[self.site_of[b]])
+                for b, name in enumerate(names)}
 
 
 def place(cn: ClusteredNetlist, arch: ArchParams, *,
@@ -273,23 +235,18 @@ def place(cn: ClusteredNetlist, arch: ArchParams, *,
     for b, s in zip(io_blocks, io_sites):
         loc[b] = s
 
-    occupant: dict[tuple, str] = {s.key(): b for b, s in loc.items()}
-    free_sites = {"clb": [s for s in clb_sites[len(clb_blocks):]],
-                  "io": [s for s in io_sites[len(io_blocks):]]}
-
     model = _IncrementalCost(loc, nets)
     cost = model.total()
 
     # Blocks on no net never move.
-    on_net = {b for net in nets.values()
-              for b in (net["driver"], *net["sinks"])}
-    blocks = clb_blocks + io_blocks
-    movable = [b for b in blocks if b in on_net]
+    blocks = list(loc)
+    movable = [b for b, ids in enumerate(model.nets_of) if ids]
     if not movable or not nets:
         obs.emit("place.anneal", blocks=len(blocks), nets=len(nets),
                  grid=grid_size, seed=seed, temps=0, moves=0,
                  accepted=0, cost=round(cost, 3))
         return Placement(arch, grid_size, loc, cost, nets)
+    board = _Board(grid_size, loc, len(clb_blocks), io_sites, movable)
 
     # The annealer is the flow's hottest loop; the span aggregates its
     # totals as attributes (no per-move tracer work -- plain local
@@ -297,15 +254,10 @@ def place(cn: ClusteredNetlist, arch: ArchParams, *,
     with obs.span("place.anneal", blocks=len(blocks), nets=len(nets),
                   grid=grid_size, seed=seed) as sp:
         # Initial temperature: VPR uses 20 * std-dev of random deltas.
-        deltas = []
-        for _ in range(min(50, 5 * len(movable))):
-            d = _try_move(rng, loc, occupant, free_sites, movable,
-                          grid_size, model,
-                          t=float("inf"), rlim=grid_size,
-                          commit_always=True)
-            if d is not None:
-                deltas.append(d)
-                cost += d
+        deltas = _try_moves(rng, board, model, min(50, 5 * len(movable)),
+                            t=math.inf, r=grid_size, commit_always=True)
+        for d in deltas:
+            cost += d
         std = (sum(d * d for d in deltas) / len(deltas)) ** 0.5 \
             if deltas else 1.0
         t = 20.0 * max(std, 1e-6)
@@ -315,13 +267,8 @@ def place(cn: ClusteredNetlist, arch: ArchParams, *,
         n_temps = n_moves = n_accepted = 0
 
         while t >= 0.005 * max(cost, 1e-9) / len(nets):
-            accepted = 0
-            for _ in range(moves_per_t):
-                d = _try_move(rng, loc, occupant, free_sites, movable,
-                              grid_size, model, t=t, rlim=rlim)
-                if d is not None:
-                    accepted += 1
-                    cost += d
+            accepted = len(_try_moves(rng, board, model, moves_per_t,
+                                      t=t, r=max(1, int(rlim))))
             rate = accepted / moves_per_t
             n_temps += 1
             n_moves += moves_per_t
@@ -339,6 +286,7 @@ def place(cn: ClusteredNetlist, arch: ArchParams, *,
             # Periodic full recompute to cancel floating-point drift.
             cost = model.total()
 
+        loc = board.loc(blocks, model.x, model.y)
         cost = wirelength_cost(loc, nets)
         sp.set_attr(temps=n_temps, moves=n_moves, accepted=n_accepted,
                     cost=round(cost, 3))
@@ -349,65 +297,100 @@ def place(cn: ClusteredNetlist, arch: ArchParams, *,
     return Placement(arch, grid_size, loc, cost, nets)
 
 
-def _try_move(rng, loc, occupant, free_sites, movable, grid_size,
-              model, *, t, rlim,
-              commit_always: bool = False) -> float | None:
-    """Propose one move/swap; returns the committed delta or None."""
-    block = rng.choice(movable)
-    site = loc[block]
-    kind = site.kind
+def _try_moves(rng: random.Random, board: _Board, model, n: int, *,
+               t: float, r: int,
+               commit_always: bool = False) -> list[float]:
+    """Propose ``n`` moves/swaps; returns the accepted deltas in order.
 
-    # Candidate target within rlim (IO pads move along the perimeter
-    # freely; rlim restricts CLB moves).
-    if kind == "clb":
-        r = max(1, int(rlim))
-        nx = min(max(1, site.x + rng.randint(-r, r)), grid_size)
-        ny = min(max(1, site.y + rng.randint(-r, r)), grid_size)
-        target = Site("clb", nx, ny)
-        if target.key() == site.key():
-            return None
-    else:
-        pool = free_sites["io"] + [loc[b] for b in movable
-                                   if loc[b].kind == "io" and b != block]
-        if not pool:
-            return None
-        target = rng.choice(pool)
-
-    other = occupant.get(target.key())
-    affected = model.affected(block, other)
-
-    # Apply tentatively.
-    loc[block] = target
-    occupant[target.key()] = block
-    if other is not None:
-        loc[other] = site
-        occupant[site.key()] = other
-    else:
-        del occupant[site.key()]
-        if target in free_sites[kind]:
-            free_sites[kind].remove(target)
-        free_sites[kind].append(site)
-
-    moves = [(block, site, target)]
-    if other is not None:
-        moves.append((other, target, site))
-    delta = model.trial(affected, moves)
-
-    accept = (commit_always or delta <= 0
-              or rng.random() < math.exp(-delta / t))
-    if accept:
-        return delta
-
-    # Revert.
-    loc[block] = site
-    occupant[site.key()] = block
-    if other is not None:
-        loc[other] = target
-        occupant[target.key()] = other
-    else:
-        del occupant[target.key()]
-        if site in free_sites[kind]:
-            free_sites[kind].remove(site)
-        free_sites[kind].append(target)
-    model.revert(affected, moves)
-    return None
+    A CLB moves by up to ``r`` sites per axis, an IO pad to any free IO
+    site or onto another pad.  Every draw from ``rng`` matches the
+    ``Site``-based annealer this replaced: ``choice`` of the mover over
+    ``movable``; for a CLB two ``randint(-r, r)`` offsets, a move onto
+    its own site proposing nothing; for a pad one index into the pool
+    of free IO sites (free-list order) followed by the other movable
+    pads (``movable`` order), which is never built; and ``random()``
+    only to accept an uphill move, never when ``commit_always``.
+    """
+    x = model.x
+    y = model.y
+    nets_of = model.nets_of
+    trial = model.trial
+    commit = model.commit
+    size = board.size
+    stride = board.stride
+    occ = board.occ
+    io_x = board.io_x
+    io_y = board.io_y
+    site_of = board.site_of
+    free = board.free_io
+    movable = board.movable
+    n_clb = board.n_movable_clb
+    pads = board.pads
+    n_others = len(pads) - 1
+    picks = range(len(movable))
+    exp = math.exp
+    randint = rng.randint
+    accepted: list[float] = []
+    for _ in range(n):
+        i = rng.choice(picks)
+        b = movable[i]
+        sx = x[b]
+        sy = y[b]
+        if i < n_clb:
+            tx = min(max(1, sx + randint(-r, r)), size)
+            ty = min(max(1, sy + randint(-r, r)), size)
+            if tx == sx and ty == sy:
+                continue
+            o = occ[tx * stride + ty]
+        else:
+            nf = len(free)
+            if not nf + n_others:
+                continue
+            k = rng.choice(range(nf + n_others))
+            if k < nf:
+                dst = free[k]
+                o = -1
+            else:
+                # The other pads: ``pads`` without the mover itself,
+                # which is ``pads[i - n_clb]``.
+                k -= nf
+                o = pads[k + 1 if k >= i - n_clb else k]
+                dst = site_of[o]
+            tx = io_x[dst]
+            ty = io_y[dst]
+        x[b] = tx
+        y[b] = ty
+        if o < 0:
+            affected = nets_of[b]
+        else:
+            x[o] = sx
+            y[o] = sy
+            affected = sorted({*nets_of[b], *nets_of[o]})
+        delta = trial(affected)
+        if commit_always or delta <= 0 or rng.random() < exp(-delta / t):
+            commit(affected)
+            accepted.append(delta)
+            if i < n_clb:
+                occ[sx * stride + sy] = o
+                occ[tx * stride + ty] = b
+            else:
+                src = site_of[b]
+                site_of[b] = dst
+                if o < 0:
+                    del free[k]
+                    free.append(src)
+                else:
+                    site_of[o] = src
+        else:
+            x[b] = sx
+            y[b] = sy
+            if o >= 0:
+                x[o] = tx
+                y[o] = ty
+            elif i >= n_clb:
+                # The free list's order is part of the draw: a rejected
+                # move to a free site leaves that site last, as the
+                # original trial-then-revert of the list did.
+                del free[k]
+                free.append(dst)
+    return accepted

@@ -1,16 +1,20 @@
 """From-scratch bounding-box cost: the placer's reference cost model.
 
-The product placer (:func:`repro.place.place`) keeps per-net running
-bbox bounds in ``_IncrementalCost``.  :class:`ScalarCost` is the
-original model it was derived from: every trial move recomputes the
-affected nets' bboxes from scratch.  Tests swap it in for
+The product placer (:func:`repro.place.place`) scores moves with
+``_IncrementalCost``, which recomputes each affected net's bbox from
+per-block coordinate arrays.  :class:`ScalarCost` is the plain model it
+must agree with: every trial rebuilds a block name -> site map from the
+live coordinates and recomputes each affected net's bbox from scratch
+with :func:`~repro.place.placer._net_bbox_cost`.  Tests swap it in for
 ``repro.place.placer._IncrementalCost`` (same constructor and method
-contract) and require identical placements and costs for the same
+contract: ``x``/``y``, ``nets_of``, ``trial``, ``commit``, ``total``,
+``evals``) and require identical placements and costs for the same
 seed.
 
-Every float operation here defines the contract: deltas accumulate
-left-to-right over ``sorted(affected)`` and :meth:`ScalarCost.total`
-sums ``net_cost`` in nets-dict insertion order.
+Every float operation here defines the contract: net ids follow
+sorted net names, deltas accumulate left-to-right over the affected
+ids in ascending order, and :meth:`ScalarCost.total` sums ``net_cost``
+in nets-dict insertion order.
 """
 
 from __future__ import annotations
@@ -25,40 +29,43 @@ class ScalarCost:
     """Reference cost model: full per-net bbox recompute on every move."""
 
     def __init__(self, loc: dict[str, Site], nets: dict[str, dict]):
-        self.loc = loc
+        self.blocks = list(loc)
+        self.kinds = [s.kind for s in loc.values()]
+        self.x = [s.x for s in loc.values()]
+        self.y = [s.y for s in loc.values()]
         self.nets = nets
-        self.nets_of: dict[str, list[str]] = {}
-        for name, net in nets.items():
-            for b in {net["driver"], *net["sinks"]}:
-                self.nets_of.setdefault(b, []).append(name)
+        self.net_names = sorted(nets)
+        bid = {b: i for i, b in enumerate(self.blocks)}
+        nets_of: list[set[int]] = [set() for _ in self.blocks]
+        for i, name in enumerate(self.net_names):
+            net = nets[name]
+            for b in (net["driver"], *net["sinks"]):
+                nets_of[bid[b]].add(i)
+        self.nets_of = [tuple(sorted(ids)) for ids in nets_of]
         self.net_cost = {name: _net_bbox_cost(loc, net)
                          for name, net in nets.items()}
         self.evals = 0
-        self._old: dict[str, float] = {}
+        self._new: list[float] = []
 
-    def affected(self, block: str, other: str | None) -> list[str]:
-        # Sorted order so the float delta sums identically regardless
-        # of PYTHONHASHSEED.
-        s = set(self.nets_of.get(block, ()))
-        if other is not None:
-            s |= set(self.nets_of.get(other, ()))
-        return sorted(s)
+    def _loc(self) -> dict[str, Site]:
+        return {b: Site(kind, x, y) for b, kind, x, y
+                in zip(self.blocks, self.kinds, self.x, self.y)}
 
-    def trial(self, affected: list[str], moves) -> float:
+    def trial(self, affected) -> float:
         self.evals += len(affected)
-        net_cost = self.net_cost
-        old = {n: net_cost[n] for n in affected}
+        loc = self._loc()
+        new = self._new = []
         delta = 0.0
-        for n in affected:
-            new = _net_bbox_cost(self.loc, self.nets[n])
-            delta += new - old[n]
-            net_cost[n] = new
-        self._old = old
+        for i in affected:
+            name = self.net_names[i]
+            c = _net_bbox_cost(loc, self.nets[name])
+            new.append(c)
+            delta += c - self.net_cost[name]
         return delta
 
-    def revert(self, affected: list[str], moves) -> None:
-        for n, c in self._old.items():
-            self.net_cost[n] = c
+    def commit(self, affected) -> None:
+        for i, c in zip(affected, self._new):
+            self.net_cost[self.net_names[i]] = c
 
     def total(self) -> float:
         return sum(self.net_cost.values())

@@ -20,6 +20,7 @@ fast CI leg).
 """
 
 import random
+import zlib
 from dataclasses import replace
 
 import pytest
@@ -183,7 +184,9 @@ def test_golden_suite_roundtrip(name):
 
     dis = disassemble(res.bitstream, res.placement.arch,
                       pad_map=pad_map_from_placement(res.placement))
-    rng = random.Random(hash(name) & 0xFFFF)
+    # crc32, not hash(): str hashes change with PYTHONHASHSEED, and a
+    # failure must replay with the same vectors.
+    rng = random.Random(zlib.crc32(name.encode()))
     vecs = [{pi: rng.randint(0, 1) for pi in net.inputs}
             for _ in range(16)]
     got = dis.network.simulate(vecs)

@@ -220,6 +220,9 @@ class TestCacheLRU:
     def test_warm_get_served_from_memory(self, tmp_path):
         cache = ResultCache(tmp_path)
         cache.put(self.KEY, {"v": 1})
+        # The first get reads the disk and admits the blob.
+        assert cache.get(self.KEY) == (True, {"v": 1})
+        assert cache.lru_hits == 0
         hit, value = cache.get(self.KEY)
         assert hit and value == {"v": 1}
         assert cache.lru_hits == 1
@@ -227,7 +230,22 @@ class TestCacheLRU:
         cache.path_for(self.KEY).unlink()
         hit, value = cache.get(self.KEY)
         assert hit and value == {"v": 1}
-        assert cache.hits == 2 and cache.lru_hits == 2
+        assert cache.hits == 3 and cache.lru_hits == 2
+
+    def test_put_alone_holds_no_memory(self, tmp_path):
+        # A write-only user (the job server) must not grow the LRU.
+        cache = ResultCache(tmp_path)
+        for i in range(3):
+            cache.put(f"{i:02d}" * 32, list(range(100)))
+        assert cache.lru_bytes() == 0
+        # A put drops the admitted copy of its key, so no get can
+        # return the stale value from memory.
+        cache.put(self.KEY, "old")
+        assert cache.get(self.KEY) == (True, "old")
+        assert cache.lru_bytes() > 0
+        cache.put(self.KEY, "new")
+        assert cache.lru_bytes() == 0
+        assert cache.get(self.KEY) == (True, "new")
 
     def test_lru_hits_are_a_subset_of_hits(self, tmp_path):
         # The external contract (hits counts *every* successful get)
@@ -257,7 +275,9 @@ class TestCacheLRU:
         keys = [f"{i:02d}" * 32 for i in range(3)]
         for key in keys:
             cache.put(key, value)
+            assert cache.get(key) == (True, value)  # admits it
         assert cache.lru_bytes() == 2 * blob_len
+        assert cache.lru_hits == 0
         # The oldest key fell out of memory but still hits on disk.
         assert cache.get(keys[0]) == (True, value)
         assert cache.lru_hits == 0
@@ -280,7 +300,8 @@ class TestCacheLRU:
         cache = ResultCache(tmp_path)
         cache.put(self.KEY, 1)
         cache.get(self.KEY)
-        assert cache.stats() == {"hits": 1, "misses": 0, "puts": 1,
+        cache.get(self.KEY)
+        assert cache.stats() == {"hits": 2, "misses": 0, "puts": 1,
                                  "lru_hits": 1}
 
 
@@ -305,6 +326,7 @@ class TestCacheMaintenance:
         old_key, new_key = "aa" * 32, "bb" * 32
         cache.put(old_key, 1)
         cache.put(new_key, 2)
+        cache.get(old_key)  # admit it to the LRU layer
         stale = time.time() - 3600
         os.utime(cache.path_for(old_key), (stale, stale))
         removed, freed = cache.prune(max_age_s=60.0)

@@ -12,9 +12,11 @@ This suite pins the equivalence contract:
 * placement and routing -- with the oracle swapped in for the
   incremental cost model / router (``monkeypatch`` on the module
   attribute), the product entrypoints reproduce the same results
-  *exactly* (same placements, same routing trees) for the same seeds;
+  *exactly* (same placements, costs, move and evaluation counts, same
+  routing trees) for the same seeds;
 * placer invariant -- the incremental bbox total equals a from-scratch
-  :func:`~repro.place.placer.wirelength_cost` at every temperature step;
+  :func:`~repro.place.placer.wirelength_cost` of the live coordinates
+  at every temperature step;
 * failure surfacing -- a :class:`NewtonConvergenceError` crossing the
   experiment engine arrives as a structured ``JobError`` that still
   names the offending nodes and timestep.
@@ -25,6 +27,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.arch import DEFAULT_ARCH, build_rr_graph
+from repro.arch.fabric import Site
 from repro.bench import counter, random_logic
 from repro.circuit import (Circuit, NewtonConvergenceError, STM018,
                            simulate, simulate_batch)
@@ -32,6 +35,7 @@ from repro.circuit.cells import inverter, pass_nmos
 from repro.circuit.waveforms import pulse_train
 from repro.exp import JobSpec, NullCache, ParallelRunner
 from repro.exp.tasks import task
+from repro.obs.metrics import MetricSet, collect
 from repro.pack import pack_netlist
 from repro.place import place, placer
 from repro.place.placer import wirelength_cost
@@ -183,27 +187,39 @@ class TestPlacerEquivalence:
     def test_incremental_placement_exact(self, pr_netlists, monkeypatch,
                                          name, seed):
         cn = pr_netlists[name]
-        b = place(cn, DEFAULT_ARCH, seed=seed, effort=0.5)
+        mb, ma = MetricSet(), MetricSet()
+        with collect(mb):
+            b = place(cn, DEFAULT_ARCH, seed=seed, effort=0.5)
         monkeypatch.setattr(placer, "_IncrementalCost", ScalarCost)
-        a = place(cn, DEFAULT_ARCH, seed=seed, effort=0.5)
+        with collect(ma):
+            a = place(cn, DEFAULT_ARCH, seed=seed, effort=0.5)
         assert a.loc == b.loc
         assert a.cost == b.cost
         assert a.grid_size == b.grid_size
+        for metric in ("place.moves", "place.incremental_evals"):
+            assert ma.value(metric) == mb.value(metric) > 0
 
     @pytest.mark.parametrize("name,seed", [("counter8", 5), ("rand", 3)])
     def test_incremental_total_matches_recompute(self, pr_netlists,
                                                  monkeypatch, name, seed):
-        """Every temperature step's drift-cancel total is exact."""
+        """Every temperature step's drift-cancel total is exact.
+
+        The reference cost is taken over the model's live coordinates:
+        the placer builds its ``loc`` only after the anneal.
+        """
         checked = []
 
         class Checked(placer._IncrementalCost):
             def __init__(self, loc, nets):
                 super().__init__(loc, nets)
-                self._loc, self._nets = loc, nets
+                self._kinds = {b: s.kind for b, s in loc.items()}
+                self._nets = nets
 
             def total(self):
                 got = super().total()
-                assert got == wirelength_cost(self._loc, self._nets)
+                live = {b: Site(kind, x, y) for (b, kind), x, y
+                        in zip(self._kinds.items(), self.x, self.y)}
+                assert got == wirelength_cost(live, self._nets)
                 checked.append(got)
                 return got
 
