@@ -87,7 +87,8 @@ def _flow_value(request: JobRequest, cfg: Config) -> dict[str, Any]:
     options = flow_mod.FlowOptions(
         arch=arch, seed=request.seed,
         min_channel_width=request.min_channel_width,
-        use_cache=cfg.cache, cache_dir=cfg.cache_dir)
+        use_cache=cfg.cache, cache_dir=cfg.cache_dir,
+        cache_lru_mb=cfg.cache_lru_mb)
     if request.vhdl is not None:
         res = flow_mod._run_flow(request.vhdl, options)
     else:

@@ -191,12 +191,6 @@ class JobErrorInfo:
                    message=str(data.get("message", "")),
                    kind=str(data.get("kind", "error")))
 
-    @classmethod
-    def from_exception(cls, exc: BaseException,
-                       kind: str = "error") -> "JobErrorInfo":
-        return cls(exc_type=type(exc).__name__, message=str(exc),
-                   kind=kind)
-
 
 @dataclass
 class JobStatus:

@@ -20,7 +20,8 @@ Typical use::
 
 Parallel batches run on one warm worker pool (:mod:`repro.exp.pool`)
 whose workers outlive batches; each is sent one job at a time and
-pickles its result back over its pipe.
+pickles its result back over its pipe.  The job server runs its
+requests through the same scheduler, fed from its queue.
 
 Every experiment driver in :mod:`repro.circuit.experiments` accepts a
 ``runner=`` argument; with none given they consult ``REPRO_JOBS`` /

@@ -8,16 +8,23 @@ back over its pipe; :meth:`repro.exp.runner.ParallelRunner.run` does
 the scheduling.  Crash isolation comes from supervision: a worker that
 dies or overruns its job's deadline is killed and **replaced**, and the
 job is reported as a structured :class:`~repro.exp.runner.JobError`
-(``kind="crash"``/``"timeout"``).
+(``kind="crash"``/``"timeout"``).  Workers leave their fate to the
+parent: they ignore SIGINT and, on start, let go of the signal
+plumbing and sockets they inherited (:func:`_pool_worker_process`).
 """
 
 from __future__ import annotations
 
 import atexit
+import contextlib
+import os
+import signal
+import stat
 import time
 import traceback
 
 from .. import obs
+from ..obs import trace as trace_mod
 
 __all__ = ["PersistentPool", "get_pool", "shutdown_pools", "spawn_count"]
 
@@ -38,6 +45,45 @@ _STOP = ("stop",)
 # Worker side
 # ---------------------------------------------------------------------------
 
+def _pool_worker_process(conn, telem) -> None:
+    """A worker process's entry point: detach, then serve jobs.
+
+    A forked worker starts with a copy of whatever its parent holds at
+    that moment, and a replacement is forked from a parent that is
+    already running -- the job server's executor thread, after the
+    listener is bound and asyncio has taken over SIGTERM and SIGINT.
+    So, in this one place:
+
+    - the signal wakeup fd is unset: it is the write end of the
+      parent loop's self-pipe, and a signal caught here would be
+      delivered to the parent;
+    - SIGTERM gets its default action back, so ``terminate()`` kills;
+    - SIGINT is ignored: a Ctrl-C reaches the whole process group,
+      and the parent decides what it means for its workers (the job
+      server drains and lets their jobs finish);
+    - every inherited socket but the worker's own pipe -- listeners,
+      client connections, the siblings' pipes -- is pointed at
+      ``/dev/null``.  That drops the worker's reference to the socket
+      without freeing the descriptor number, which the parent's
+      copied socket objects still name.
+    """
+    signal.set_wakeup_fd(-1)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    keep = conn.fileno()
+    null = os.open(os.devnull, os.O_RDWR)
+    for fd in map(int, os.listdir("/dev/fd")):
+        if fd == keep:
+            continue
+        try:
+            if stat.S_ISSOCK(os.fstat(fd).st_mode):
+                os.dup2(null, fd)
+        except OSError:
+            pass                # the listing's own, now closed, fd
+    os.close(null)
+    _pool_worker_main(conn, telem)
+
+
 def _pool_worker_main(conn, telem=None) -> None:
     """Long-lived worker loop: receive one job, send its result back.
 
@@ -45,7 +91,10 @@ def _pool_worker_main(conn, telem=None) -> None:
 
     parent -> worker   ``("run", settings, spec)`` | ``("stop",)``
     worker -> parent   ``("ack", t_recv)``, then ``("res", value,
-                       seconds, err, spans, metrics)``.
+                       seconds, err, spans, metrics)``.  With
+                       ``settings.live_spans`` each span the job opens
+                       or closes is sent in between, as ``("span",
+                       phase, name, t_wall, seconds)``.
 
     ``t_recv`` is ``time.monotonic()`` at job receipt -- the monotonic
     clock is system-wide on the platforms we support, so the parent can
@@ -88,7 +137,10 @@ def _pool_worker_main(conn, telem=None) -> None:
             ms = obs.MetricSet()
             if emitter is not None:
                 emitter.job_started(live_mod.job_id(spec), spec.kind, ms)
-            with obs.capture(tr), obs.metrics.collect(ms):
+            live = settings is not None and settings.live_spans
+            with obs.capture(tr), obs.metrics.collect(ms), \
+                    (_forward_spans(conn) if live
+                     else contextlib.nullcontext()):
                 value, seconds, err = _execute_spec(spec)
             if emitter is not None:
                 emitter.job_finished()
@@ -107,8 +159,6 @@ def _pool_worker_main(conn, telem=None) -> None:
                     traceback=traceback.format_exc())
                 conn.send(("res", None, seconds, err, tr.export(),
                            ms.export()))
-    except KeyboardInterrupt:
-        pass
     finally:
         if emitter is not None:
             emitter.stop()
@@ -116,6 +166,28 @@ def _pool_worker_main(conn, telem=None) -> None:
             conn.close()
         except Exception:
             pass
+
+
+@contextlib.contextmanager
+def _forward_spans(conn):
+    """Send the running job's span opens and closes to the parent.
+
+    Chains in front of any listener already installed (the live
+    telemetry emitter) and restores it when the job ends.
+    """
+    inner = trace_mod.span_listener()
+
+    def listener(phase: str, span) -> None:
+        if inner is not None:
+            inner(phase, span)
+        conn.send(("span", phase, span.name, time.time(),
+                   span.seconds if phase == "close" else 0.0))
+
+    trace_mod.set_span_listener(listener)
+    try:
+        yield
+    finally:
+        trace_mod.set_span_listener(inner)
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +238,7 @@ class PersistentPool:
     def _spawn(self) -> _PoolWorker:
         global _spawn_total
         parent_conn, child_conn = self.ctx.Pipe(duplex=True)
-        proc = self.ctx.Process(target=_pool_worker_main,
+        proc = self.ctx.Process(target=_pool_worker_process,
                                 args=(child_conn, self.telemetry),
                                 daemon=True)
         proc.start()
@@ -216,8 +288,10 @@ class PersistentPool:
                 worker.proc.join(1.0)
 
     def close(self) -> None:
+        # A worker still on a job (its batch was interrupted) would
+        # only read the stop message after finishing it: kill it.
         for worker in self.workers:
-            self._stop(worker)
+            self._stop(worker, force=worker.inflight is not None)
         self.workers = []
         try:
             self.telemetry.close()

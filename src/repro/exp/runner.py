@@ -21,6 +21,13 @@ that dies mid-job is replaced and its job reports ``error.kind ==
 "crash"``; ``JobSpec.retries`` re-runs a failed job with exponential
 backoff before giving up.
 
+The pooled scheduler (``ParallelRunner._serve``) takes its jobs from a
+source (``_JobSource``) as they arrive.  :meth:`ParallelRunner.run`
+feeds it a batch's uncached specs; the job server (:mod:`repro.serve`)
+feeds it its tenant queue, on a pool it owns, so every service job
+runs in a worker under the same deadlines and crash supervision.  Both
+names are internal to the engine and the job server.
+
 Checkpointing
 -------------
 Cache lookups happen in the parent before any work is dispatched, so a
@@ -140,16 +147,20 @@ class _WorkerSettings:
 
     trace_enabled: bool = True
     env: dict[str, str] | None = None
+    #: Send each span open/close over the pipe while the job runs
+    #: (:attr:`_JobSource.live_spans`).
+    live_spans: bool = False
 
     #: Environment knobs snapshotted into every worker.
     FORWARDED = (obs.ENV_TRACE, obs.ENV_RUN_DB, "REPRO_CACHE_DIR",
                  obs.live.ENV_TELEMETRY, obs.live.ENV_HB_INTERVAL)
 
     @classmethod
-    def snapshot(cls) -> "_WorkerSettings":
+    def snapshot(cls, *, live_spans: bool = False) -> "_WorkerSettings":
         return cls(trace_enabled=obs.enabled(),
                    env={k: os.environ[k] for k in cls.FORWARDED
-                        if k in os.environ})
+                        if k in os.environ},
+                   live_spans=live_spans)
 
     def apply(self) -> None:
         """Make the worker's state match the snapshot exactly.
@@ -170,11 +181,104 @@ class _WorkerSettings:
 
 @dataclass
 class _Pending:
-    """A job attempt waiting for a worker slot."""
+    """One attempt of a job, waiting for a worker or running on one."""
 
-    index: int
-    attempt: int
-    ready_at: float     # monotonic time before which it must not start
+    handle: Any         # the source's own reference to the job
+    spec: JobSpec
+    attempt: int = 1
+    ready_at: float = 0.0   # monotonic time before which it must not start
+
+
+class _JobSource:
+    """Where the pooled scheduler takes its jobs and sends their outcomes.
+
+    :meth:`take` hands out the next job as ``(handle, spec)``; the
+    scheduler (:meth:`ParallelRunner._serve`) runs it, retries it as
+    its spec allows, and passes the final outcome to :meth:`finish`.
+    The scheduler returns once :meth:`closed` holds and no job is in
+    flight or waiting to retry.  If it raises instead (say a
+    replacement worker cannot be forked), the jobs taken and not
+    finished are the source's to account for.
+
+    ``wake``        a connection that turns readable when a job arrives
+                    or the source closes; ``None`` for a source that
+                    never grows while the scheduler waits (a batch).
+    ``live_spans``  forward each running job's span opens and closes
+                    to :meth:`span` as they happen.
+    """
+
+    wake = None
+    live_spans = False
+
+    def take(self) -> tuple[Any, JobSpec] | None:
+        """The next job to start, or ``None`` if none is ready."""
+        raise NotImplementedError
+
+    def closed(self) -> bool:
+        """True once :meth:`take` will never return a job again."""
+        raise NotImplementedError
+
+    def queued(self) -> int:
+        """Jobs waiting in the source (live progress only)."""
+        return 0
+
+    def clear_wake(self) -> None:
+        """Consume the signal that made ``wake`` readable."""
+
+    def span(self, item: _Pending, pid: int, phase: str, name: str,
+             t_wall: float, seconds: float) -> None:
+        """One span open/close of a running job (``live_spans``)."""
+
+    def finish(self, item: _Pending, value: Any, seconds: float,
+               err: JobError | None, spans: list | None,
+               metric_rows: list | None) -> None:
+        """The final outcome of ``item``, after any retries."""
+        raise NotImplementedError
+
+
+class _Batch(_JobSource):
+    """The uncached specs of one :meth:`ParallelRunner.run` call.
+
+    Results land in submission order; each is cached as it arrives,
+    and its worker's spans and metrics are grafted under its
+    ``exp.job`` span.
+    """
+
+    def __init__(self, specs: Sequence[JobSpec], keys: Sequence[str],
+                 results: list, pending_idx: list[int], cache) -> None:
+        self._specs = specs
+        self._keys = keys
+        self._results = results
+        self._todo = deque(pending_idx)
+        self._cache = cache
+
+    def take(self) -> tuple[int, JobSpec] | None:
+        if not self._todo:
+            return None
+        i = self._todo.popleft()
+        return i, self._specs[i]
+
+    def closed(self) -> bool:
+        return not self._todo
+
+    def queued(self) -> int:
+        return len(self._todo)
+
+    def finish(self, item, value, seconds, err, spans, metric_rows):
+        i = item.handle
+        self._results[i] = JobResult(
+            spec=item.spec, key=self._keys[i], value=value,
+            seconds=seconds, error=err, attempts=item.attempt)
+        job_id = obs.emit(
+            "exp.job", seconds=seconds, kind=item.spec.kind,
+            attempt=item.attempt,
+            outcome="ok" if err is None else err.kind)
+        if spans:
+            obs.adopt(spans, parent_id=job_id)
+        if err is None:
+            if metric_rows:
+                obs.metrics.metric_set().merge(metric_rows)
+            self._cache.put(self._keys[i], value)
 
 
 class ParallelRunner:
@@ -257,8 +361,10 @@ class ParallelRunner:
                             results[i] = self._run_inline(specs[i],
                                                           keys[i])
                     else:
-                        self._run_persistent(specs, keys, results,
-                                             pending)
+                        from .pool import get_pool
+                        self._serve(_Batch(specs, keys, results, pending,
+                                           self.cache),
+                                    get_pool(self.jobs, self.start_method))
             finally:
                 if hub is not None:
                     hub.batch_finished()
@@ -321,37 +427,48 @@ class ParallelRunner:
                          seconds=seconds, error=err, attempts=attempt)
 
     # -- pooled path (warm workers, one job per dispatch) ---------------
-    def _run_persistent(self, specs: Sequence[JobSpec],
-                        keys: Sequence[str],
-                        results: list[JobResult | None],
-                        pending_idx: list[int]) -> None:
-        """Schedule the batch over the shared warm pool.
+    def _serve(self, source: _JobSource, pl) -> None:
+        """The pooled scheduler: run jobs from ``source`` on the warm
+        pool ``pl`` (a :class:`~repro.exp.pool.PersistentPool`) as they
+        arrive.
 
-        Each idle worker is sent one job; its result streams back as
-        soon as it finishes, so results are cached and spans grafted
-        as they arrive.  A worker that dies or overruns its job's
+        Each idle worker is sent the next job from ``source``; its
+        result streams back as soon as it finishes and goes to
+        ``source.finish``.  A worker that dies or overruns its job's
         deadline is killed and replaced, and that job is charged with
-        the failure (and retried if its spec allows).
+        the failure (and retried if its spec allows).  The loop sleeps
+        in one ``connection.wait`` on the busy workers' pipes and the
+        source's ``wake`` connection, and returns once the source has
+        closed and every job taken from it has finished.  The caller
+        owns ``pl``.
         """
         from multiprocessing.connection import wait as conn_wait
         from . import pool as pool_mod
 
         ms = obs.metrics.metric_set()
         spawned_before = pool_mod.spawn_count()
-        pl = pool_mod.get_pool(self.jobs, self.start_method)
-        settings = _WorkerSettings.snapshot()
-        queue: deque[_Pending] = deque(
-            _Pending(i, 1, 0.0) for i in pending_idx)
+        settings = _WorkerSettings.snapshot(live_spans=source.live_spans)
+        #: retry attempts (and jobs a dead worker never received), each
+        #: due at its ``ready_at``; they go before new jobs.
+        retry: deque[_Pending] = deque()
         ms.gauge("exp.pool.workers", len(pl.workers))
         hub = obs.live.session_hub()
         stalled_prev: list[int] | None = None
         if hub is not None:
             hub.attach(pl.telemetry)
 
+        def next_job(now: float) -> _Pending | None:
+            for p in retry:
+                if p.ready_at <= now:
+                    retry.remove(p)
+                    return p
+            job = source.take()
+            return None if job is None else _Pending(*job)
+
         def finalize(item: _Pending, value: Any, seconds: float,
                      err: JobError | None, spans: list | None = None,
                      metric_rows: list | None = None) -> None:
-            spec = specs[item.index]
+            spec = item.spec
             if err is not None and item.attempt <= spec.retries:
                 obs.emit("exp.job", seconds=seconds, kind=spec.kind,
                          attempt=item.attempt,
@@ -360,31 +477,19 @@ class ParallelRunner:
                     hub.job_retried(spec.kind)
                 backoff = self._backoff(item.attempt)
                 ms.dist("exp.retry_wait_s", backoff)
-                queue.append(_Pending(item.index, item.attempt + 1,
+                retry.append(_Pending(item.handle, spec, item.attempt + 1,
                                       time.monotonic() + backoff))
                 return
-            results[item.index] = JobResult(
-                spec=spec, key=keys[item.index], value=value,
-                seconds=seconds, error=err, attempts=item.attempt)
             if hub is not None:
                 hub.job_finished(spec.kind, err is None, seconds)
-            job_id = obs.emit(
-                "exp.job", seconds=seconds, kind=spec.kind,
-                attempt=item.attempt,
-                outcome="ok" if err is None else err.kind)
-            if spans:
-                obs.adopt(spans, parent_id=job_id)
-            if err is None:
-                if metric_rows:
-                    ms.merge(metric_rows)
-                self.cache.put(keys[item.index], value)
+            source.finish(item, value, seconds, err, spans, metric_rows)
 
         def fail(w, kind: str) -> None:
             """Charge the worker's job, then replace the worker."""
             item, w.inflight = w.inflight, None
             elapsed = time.monotonic() - w.started_at
             if kind == "timeout":
-                t = self._timeout_for(specs[item.index])
+                t = self._timeout_for(item.spec)
                 err = JobError(exc_type="TimeoutError",
                                message=f"job exceeded timeout of {t}s",
                                kind="timeout")
@@ -406,6 +511,9 @@ class ParallelRunner:
                         max(0.0, msg[1] - w.sent_at))
                 w.started_at = msg[1]
                 return
+            if msg[0] == "span":
+                source.span(w.inflight, w.proc.pid, *msg[1:])
+                return
             _, value, seconds, err, spans, metric_rows = msg
             item, w.inflight = w.inflight, None
             w.served += 1
@@ -422,39 +530,36 @@ class ParallelRunner:
         def deadline(w) -> float | None:
             if w.inflight is None:
                 return None
-            t = self._timeout_for(specs[w.inflight.index])
+            t = self._timeout_for(w.inflight.spec)
             return None if t is None else w.started_at + t
 
         while True:
             now = time.monotonic()
-            idle = [w for w in pl.workers if w.inflight is None]
-            ready = [p for p in queue if p.ready_at <= now]
-            for w, item in zip(idle, ready):
-                queue.remove(item)
+            for w in [w for w in pl.workers if w.inflight is None]:
+                item = next_job(now)
+                if item is None:
+                    break
                 try:
-                    pl.dispatch(w, settings, specs[item.index])
+                    pl.dispatch(w, settings, item.spec)
                 except Exception:
-                    queue.appendleft(item)
+                    retry.appendleft(item)
                     pl.replace(w)
                     continue
                 w.inflight = item
                 w.sent_at = w.started_at = now
             busy = [w for w in pl.workers if w.inflight is not None]
             if hub is not None:
-                hub.progress(len(queue), len(busy))
-            if not busy:
-                if not queue:
-                    break
-                # Only backoff-delayed retries remain: sleep until the
-                # soonest becomes ready.
-                wake = min(p.ready_at for p in queue)
-                time.sleep(max(0.0, wake - time.monotonic()))
-                continue
+                hub.progress(len(retry) + source.queued(), len(busy))
+            if not busy and not retry and source.closed():
+                break
             now = time.monotonic()
             waits = [d - now for w in busy
                      if (d := deadline(w)) is not None]
-            waits += [p.ready_at - now for p in queue
-                      if p.ready_at > now]
+            # A retry waits out its backoff -- or nothing at all when a
+            # worker is free (the one whose dispatch just failed).
+            free = len(busy) < len(pl.workers)
+            waits += [p.ready_at - now for p in retry
+                      if free or p.ready_at > now]
             timeout = max(0.0, min(waits)) if waits else None
             if hub is not None:
                 # Wake at heartbeat granularity so a hung worker is
@@ -462,7 +567,12 @@ class ParallelRunner:
                 # any job timeout fires -- or when there is none.
                 cap = 2.0 * hub.hb_interval_s
                 timeout = cap if timeout is None else min(timeout, cap)
-            ready_conns = conn_wait([w.conn for w in busy], timeout)
+            conns = [w.conn for w in busy]
+            if source.wake is not None:
+                conns.append(source.wake)
+            ready_conns = conn_wait(conns, timeout)
+            if source.wake is not None and source.wake in ready_conns:
+                source.clear_wake()
             for w in busy:
                 if w.conn in ready_conns:
                     drain(w)

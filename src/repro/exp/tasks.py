@@ -12,6 +12,8 @@ Kinds
 ``clock_cells_batch`` Table 2/3 clock-network energies (J), one batched run
 ``fig_sweep_batch``   a Fig. 8-10 / tri-state sizing grid (or any subset
                       of its points), one batched run
+``submit``            one job-server request through :func:`repro.api.
+                      submit`; returns ``Result.to_json()``
 ``selftest``          trivial built-in probe for engine tests
 """
 
@@ -118,3 +120,23 @@ def _fig_sweep_batch(points, *, metal_width: float = 1.0,
         [(w, int(length)) for w, length in points],
         metal_width=metal_width, metal_spacing=metal_spacing,
         switch_type=switch_type, tech=tech or STM018, dt=dt)
+
+
+# ---------------------------------------------------------------------------
+# The job server's requests
+# ---------------------------------------------------------------------------
+
+@task("submit")
+def _submit(request, config) -> dict:
+    """One service job: ``api.submit`` on a :class:`~repro.api.JobRequest`.
+
+    Runs in a pool worker of the job server with the server's
+    :class:`~repro.api.Config`, minus its pool settings: experiments
+    run inline (``jobs=1``), since a daemonic pool worker cannot have
+    children, and the server's scheduler already holds the job to
+    ``job_timeout_s``.
+    """
+    from dataclasses import replace
+    from .. import api
+    cfg = replace(config, jobs=1, job_timeout_s=None)
+    return api.submit(request, config=cfg).to_json()

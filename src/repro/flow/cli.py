@@ -23,7 +23,7 @@ standalone program as well as part of a complete design framework":
     repro-flow history   [--metric flow.fmax_MHz]  (recorded runs)
     repro-flow compare   [RUN_A RUN_B | --against-golden]
     repro-flow report    [--html qor.html]  (sparkline dashboard)
-    repro-flow serve     [--port 8732]   (flow-as-a-service daemon)
+    repro-flow serve     [--port 8732] [--jobs N]  (flow-as-a-service daemon)
     repro-flow submit    design.vhd --wait [--events]  (via the server)
     repro-flow status    JOB_ID
     repro-flow fetch     ARTIFACT_HASH [-o result.json]
@@ -398,6 +398,10 @@ def main(argv: list[str] | None = None) -> int:
                         "~/.cache/repro/artifacts)")
     p.add_argument("--quota", type=int, default=None,
                    help="max queued jobs per tenant (default 16)")
+    p.add_argument("--jobs", type=int, default=0,
+                   help="jobs run at once, each in its own worker "
+                        "process (default 0 = one per core; "
+                        "$REPRO_JOBS does not apply)")
     _add_cache_args(p)
     _add_rundb_path_arg(p)
 
@@ -946,15 +950,21 @@ def _run_serve(args) -> int:
         print("# draining: finishing in-flight work, persisting "
               "queue...", file=sys.stderr, flush=True)
         await server.stop()
-        print(f"# drained cleanly ({server.health()['served']} job(s) "
-              f"served)", file=sys.stderr, flush=True)
+        health = server.health()
+        if not health["ok"]:
+            print("# stopped: the job scheduler failed (traceback "
+                  "above); queued jobs persisted", file=sys.stderr,
+                  flush=True)
+            return EXIT_FAILED
+        print(f"# drained cleanly ({health['served']} job(s) served)",
+              file=sys.stderr, flush=True)
+        return EXIT_OK
 
     import asyncio
     try:
-        asyncio.run(announce_and_serve())
+        return asyncio.run(announce_and_serve())
     except KeyboardInterrupt:
-        pass
-    return EXIT_OK
+        return EXIT_OK
 
 
 def _submit_request(args) -> api.JobRequest:

@@ -66,6 +66,7 @@ class FlowOptions:
     work_dir: str | None = None       # write artifacts here if set
     use_cache: bool = True            # content-addressed stage cache
     cache_dir: str | None = None      # None -> REPRO_CACHE_DIR default
+    cache_lru_mb: float | None = None  # None -> REPRO_CACHE_LRU_MB
 
 
 @dataclass
@@ -112,23 +113,23 @@ class FlowResult:
         return out
 
 
-#: Process-shared stage caches keyed by resolved cache root.  Sharing
-#: one :class:`ResultCache` across every flow with the same root lets
-#: its in-process LRU layer serve repeated stage keys (parameter
-#: sweeps, re-runs inside one session) straight from memory -- the disk
-#: store already made concurrent sharing safe, so this only changes
-#: where warm reads are served from.
-_STAGE_CACHES: dict[str, ResultCache] = {}
+#: Process-shared stage caches keyed by resolved cache root and LRU
+#: budget.  Sharing one :class:`ResultCache` across every flow with the
+#: same root lets its in-process LRU layer serve repeated stage keys
+#: (parameter sweeps, re-runs inside one session) straight from memory
+#: -- the disk store already made concurrent sharing safe, so this only
+#: changes where warm reads are served from.
+_STAGE_CACHES: dict[tuple[str, float | None], ResultCache] = {}
 
 
-def _stage_cache(cache_dir) -> ResultCache:
+def _stage_cache(cache_dir, lru_mb: float | None = None) -> ResultCache:
     # Resolve the root eagerly: with no explicit dir the default
     # follows $REPRO_CACHE_DIR, which may differ between flows.
     root = Path(cache_dir) if cache_dir else default_cache_dir()
-    key = str(root.resolve())
+    key = (str(root.resolve()), lru_mb)
     cache = _STAGE_CACHES.get(key)
     if cache is None:
-        cache = _STAGE_CACHES[key] = ResultCache(root)
+        cache = _STAGE_CACHES[key] = ResultCache(root, lru_mb=lru_mb)
     return cache
 
 
@@ -147,7 +148,8 @@ class DesignFlow:
                       if self.options.work_dir else None)
         if self._work:
             self._work.mkdir(parents=True, exist_ok=True)
-        self._cache = (_stage_cache(self.options.cache_dir)
+        self._cache = (_stage_cache(self.options.cache_dir,
+                                    self.options.cache_lru_mb)
                        if self.options.use_cache else NullCache())
         self._fp: str = ""   # running content fingerprint of the flow
 

@@ -8,7 +8,8 @@ consumes.
 Supported subset (documented in the README):
 
 * ``entity`` with a port clause of ``std_logic`` /
-  ``std_logic_vector(M downto N)`` ports, directions ``in``/``out``;
+  ``std_logic_vector(M downto N)`` ports (at most
+  :data:`MAX_VECTOR_WIDTH` bits), directions ``in``/``out``;
 * ``architecture`` with signal declarations of the same types;
 * concurrent signal assignments with the VHDL logical operators,
   ``not``, parentheses, indexing, concatenation ``&``, character and
@@ -25,7 +26,12 @@ from __future__ import annotations
 from . import ast as A
 from .lexer import Token, tokenize
 
-__all__ = ["VhdlSyntaxError", "Parser", "parse_vhdl", "check_syntax"]
+__all__ = ["MAX_VECTOR_WIDTH", "VhdlSyntaxError", "Parser", "parse_vhdl",
+           "check_syntax"]
+
+#: Widest ``std_logic_vector`` accepted.  Synthesis builds one net per
+#: bit, so an unbounded declared width is a memory and time bomb.
+MAX_VECTOR_WIDTH = 1024
 
 
 class VhdlSyntaxError(ValueError):
@@ -145,7 +151,12 @@ class Parser:
             if msb < lsb:
                 raise VhdlSyntaxError(
                     f"line {tok.line}: empty vector range")
-            return msb - lsb + 1, msb, lsb
+            width = msb - lsb + 1
+            if width > MAX_VECTOR_WIDTH:
+                raise VhdlSyntaxError(
+                    f"line {tok.line}: vector width {width} exceeds the "
+                    f"limit of {MAX_VECTOR_WIDTH} bits")
+            return width, msb, lsb
         raise VhdlSyntaxError(
             f"line {tok.line}: unsupported type {tok.value!r} (subset "
             f"supports std_logic and std_logic_vector)")

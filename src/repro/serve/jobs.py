@@ -8,7 +8,8 @@ Three pieces, all transport-agnostic and individually testable:
 - :class:`TenantQueue` orders queued jobs by ``(priority desc,
   submission order)`` and enforces a per-tenant ceiling on queued
   work, so one enthusiastic tenant cannot starve the rest of the
-  queue's capacity.
+  queue's capacity.  The engine's pooled scheduler takes the server's
+  jobs from it, sleeping on its ``wake`` connection in between.
 - :class:`QueueStore` persists the queued (not yet started) jobs into
   a ``serve_queue`` table alongside the run DB, so a graceful drain
   keeps every accepted-but-unstarted job for the next server start.
@@ -19,6 +20,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import json
+import multiprocessing
 import sqlite3
 import threading
 import time
@@ -76,7 +78,9 @@ class TenantQueue:
 
     Higher ``priority`` pops first; within a priority, submission
     order.  All methods are thread-safe (the HTTP loop pushes, the
-    executor thread pops).
+    executor thread pops).  ``wake`` turns readable on every
+    :meth:`push` and :meth:`wake_up` until :meth:`clear_wake`, so a
+    scheduler can wait on it beside its workers' pipes.
     """
 
     def __init__(self, *, quota: int = DEFAULT_TENANT_QUOTA):
@@ -85,7 +89,8 @@ class TenantQueue:
         self._queued_by_tenant: dict[str, int] = {}
         self._seq = itertools.count()
         self._lock = threading.Lock()
-        self._ready = threading.Condition(self._lock)
+        self.wake, self._waker = multiprocessing.Pipe(duplex=False)
+        self._woken = False
 
     def push(self, job: Job) -> None:
         with self._lock:
@@ -96,13 +101,29 @@ class TenantQueue:
             self._queued_by_tenant[tenant] = n + 1
             heapq.heappush(self._heap,
                            (-job.request.priority, next(self._seq), job))
-            self._ready.notify()
+            self._signal()
 
-    def pop(self, timeout: float | None = None) -> Job | None:
-        """Next job by priority, or ``None`` if empty after ``timeout``."""
+    def wake_up(self) -> None:
+        """Make ``wake`` readable without queueing anything."""
         with self._lock:
-            if not self._heap and timeout:
-                self._ready.wait(timeout)
+            self._signal()
+
+    def clear_wake(self) -> None:
+        with self._lock:
+            if self._woken:
+                self.wake.recv_bytes()
+                self._woken = False
+
+    def _signal(self) -> None:
+        # At most one message in the pipe, however many pushes it
+        # covers, so a burst of submissions can never fill it.
+        if not self._woken:
+            self._waker.send_bytes(b"\0")
+            self._woken = True
+
+    def pop(self) -> Job | None:
+        """Next job by priority, or ``None`` if the queue is empty."""
+        with self._lock:
             if not self._heap:
                 return None
             _, _, job = heapq.heappop(self._heap)

@@ -1,17 +1,31 @@
 """The flow-as-a-service daemon: an asyncio HTTP front on `repro.api`.
 
-Stdlib only.  One process hosts two cooperating halves:
+Stdlib only.  The daemon process hosts two cooperating halves, and a
+warm pool of worker processes runs the jobs:
 
 - the **asyncio loop** speaks minimal HTTP/1.1: it parses requests,
   enforces quotas and body limits, answers status lookups from the
   in-memory job table and serves artifacts straight off disk.  Every
   error is structured JSON (``{"error": {"code", "message"}}``) with a
   meaningful status code.
-- the **executor thread** pops jobs off the tenant priority queue and
-  runs them through :func:`repro.api.submit` in-process, so the flow's
-  ``flow.*`` / ``exp.*`` obs spans fire right here and become the
-  per-stage progress events that ``GET /jobs/<id>/events`` streams
-  (and that feed the :class:`~repro.obs.live.TelemetryHub`).
+- the **executor thread** is the experiment engine's one pooled
+  scheduler (``ParallelRunner._serve`` in :mod:`repro.exp.runner`).
+  It takes jobs off the tenant priority queue as they arrive and keeps
+  up to ``Config.jobs`` of them in flight (``<= 0``: one per core),
+  each in a pool worker that runs :func:`repro.api.submit` as the
+  ``submit`` task kind.  ``Config.job_timeout_s`` bounds every job: an overrun
+  kills and replaces the worker and fails the job with kind
+  ``timeout``; a worker that dies fails its job with kind ``crash``.
+  The daemon keeps serving either way.  While a job runs, its worker
+  forwards the flow's ``flow.*`` / ``exp.*`` obs spans, which become
+  the per-stage progress events that ``GET /jobs/<id>/events``
+  streams (and that feed the :class:`~repro.obs.live.TelemetryHub`).
+
+The workers are forked when the server starts, before it binds its
+listener, and stopped when it stops.  If the scheduler itself fails
+(say a replacement worker cannot be forked), the jobs it had taken
+fail with kind ``crash``, ``/healthz`` reports ``ok: false`` and the
+server drains.
 
 Endpoints::
 
@@ -26,9 +40,9 @@ Completed results land in the content-addressed
 ``JobRequest.content_hash()``; a resubmission of identical work is
 answered ``done`` immediately from the store without executing
 anything.  ``SIGTERM``/``SIGINT`` trigger a graceful drain: new
-submissions get 503, the in-flight job finishes, and still-queued jobs
-persist to the run DB (:class:`~repro.serve.jobs.QueueStore`) from
-which the next start resumes them.
+submissions get 503, every in-flight job finishes, and still-queued
+jobs persist to the run DB (:class:`~repro.serve.jobs.QueueStore`)
+from which the next start resumes them.
 """
 
 from __future__ import annotations
@@ -36,18 +50,22 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import json
+import multiprocessing
 import os
 import secrets
 import signal
+import sys
 import threading
 import time
+import traceback
 from typing import Any
 
 from .. import api
 from ..api import (JobErrorInfo, JobRequest, MAX_BODY_BYTES,
                    RequestError)
+from ..exp import JobError, JobSpec, PersistentPool
+from ..exp.runner import _JobSource
 from ..obs import live as live_mod
-from ..obs import trace as trace_mod
 from .artifacts import ArtifactStore, is_artifact_hash
 from .jobs import (DEFAULT_TENANT_QUOTA, Job, QueueStore, QuotaExceeded,
                    TenantQueue)
@@ -75,6 +93,98 @@ class _HttpError(Exception):
         self.code = code
 
 
+class _ServiceJobs(_JobSource):
+    """The server's queued jobs, as the pooled scheduler's job source.
+
+    Jobs are taken in priority order until the server drains; each
+    runs as a ``submit`` task with the server's config.  A finished
+    job's value goes to the artifact store and its status turns
+    ``done``, or ``failed`` with the engine's error kind.
+    """
+
+    live_spans = True
+
+    def __init__(self, server: "JobServer"):
+        self.server = server
+        self.wake = server.queue.wake
+        #: jobs taken and not yet finished, by id
+        self.taken: dict[str, Job] = {}
+
+    def take(self) -> tuple[Job, JobSpec] | None:
+        srv = self.server
+        job = None if srv.draining else srv.queue.pop()
+        if job is None:
+            return None
+        status = job.status
+        status.started = time.time()
+        job.add_event({"event": "started", "job": job.id,
+                       "t": status.started})
+        status.state = "running"
+        srv._running += 1
+        self.taken[job.id] = job
+        return job, JobSpec.make("submit", request=job.request,
+                                 config=srv.config)
+
+    def closed(self) -> bool:
+        return self.server.draining
+
+    def queued(self) -> int:
+        return self.server.queue.queued()
+
+    def clear_wake(self) -> None:
+        self.server.queue.clear_wake()
+
+    def span(self, item, pid, phase, name, t_wall, seconds) -> None:
+        if not name.startswith(("flow.", "exp.")):
+            return
+        event: dict[str, Any] = {"event": "stage", "phase": phase,
+                                 "stage": name, "t": t_wall}
+        if phase == "close":
+            event["seconds"] = round(seconds, 6)
+        item.handle.add_event(event)
+        self.server.hub.record_event(
+            ("span", pid, phase, name, t_wall, seconds))
+
+    def finish(self, item, value, seconds, err, spans, metric_rows):
+        self._complete(item.handle, value, err)
+
+    def abandon(self, err: JobError) -> None:
+        """Fail every job taken and not finished (the scheduler died)."""
+        for job in list(self.taken.values()):
+            self._complete(job, None, err)
+
+    def _complete(self, job: Job, value: Any, err: JobError | None):
+        srv = self.server
+        del self.taken[job.id]
+        status = job.status
+        if err is None:
+            key = job.request.content_hash()
+            try:
+                srv.artifacts.put(key, value)
+                status.artifact = key
+            except Exception as exc:   # noqa: BLE001 -- becomes JobError
+                err = JobError(exc_type=type(exc).__name__,
+                               message=str(exc))
+        if err is not None:
+            status.error = JobErrorInfo(exc_type=err.exc_type,
+                                        message=err.message,
+                                        kind=err.kind)
+        state = "done" if err is None else "failed"
+        status.finished = time.time()
+        event = {"event": state, "job": job.id, "t": status.finished}
+        if status.artifact:
+            event["artifact"] = status.artifact
+        if status.error is not None:
+            event["error"] = status.error.to_json()
+        job.add_event(event)
+        # Last: a poller or stream that sees the terminal state must
+        # also see the artifact, the timestamps and the terminal event.
+        status.state = state
+        srv._served += 1
+        srv._running -= 1
+        job.finished.set()
+
+
 class JobServer:
     """One service instance: HTTP front, queue, executor, stores."""
 
@@ -97,39 +207,56 @@ class JobServer:
         self._served = 0
         self._cached_hits = 0
         self._resumed = 0
-        self._runner = None          # lazy shared experiment runner
+        self._running = 0
+        self._runner = self.config.runner()
+        self._pool: PersistentPool | None = None
+        self._fault: str | None = None   # why the scheduler died, if it did
         self._server: asyncio.base_events.Server | None = None
         self._executor: threading.Thread | None = None
-        self._stop_exec = threading.Event()
         self._drained = threading.Event()
 
     # -- lifecycle -----------------------------------------------------
     async def start(self) -> None:
-        """Bind, resume any persisted queue, start the executor."""
+        """Resume any persisted queue, fork the workers, bind, start
+        the executor.
+
+        Forking first keeps the listening socket (and the executor
+        thread's state) out of the workers.  Replacements forked later
+        shed what they inherit when they start (:mod:`repro.exp.pool`).
+        """
         for job in self.store.load():
             with self._jobs_lock:
                 self.jobs[job.id] = job
             self.queue.push(job)
             self._resumed += 1
+        self._pool = PersistentPool(self._runner.jobs,
+                                    multiprocessing.get_context("fork"))
+        try:
+            self._server = await asyncio.start_server(
+                self._handle, self.host, self.port)
+        except BaseException:
+            self._pool.close()
+            raise
+        self.port = self._server.sockets[0].getsockname()[1]
         self._executor = threading.Thread(
             target=self._executor_loop, name="repro-serve-executor",
             daemon=True)
         self._executor.start()
-        self._server = await asyncio.start_server(
-            self._handle, self.host, self.port)
-        self.port = self._server.sockets[0].getsockname()[1]
 
     def begin_drain(self) -> None:
-        """Refuse new work; let the running job finish; persist queue."""
+        """Refuse new work; let running jobs finish; persist queue."""
         self.draining = True
-        self._stop_exec.set()
+        self.queue.wake_up()
 
     async def stop(self) -> None:
-        """Graceful shutdown: drain, persist, close the listener."""
+        """Graceful shutdown: drain, persist, stop the workers, close
+        the listener."""
         self.begin_drain()
         if self._executor is not None:
             while self._executor.is_alive():
                 await asyncio.sleep(0.05)
+        if self._pool is not None:
+            self._pool.close()
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -152,70 +279,26 @@ class JobServer:
 
     # -- executor thread -----------------------------------------------
     def _executor_loop(self) -> None:
-        while not self._stop_exec.is_set():
-            job = self.queue.pop(timeout=0.1)
-            if job is not None:
-                self._run_job(job)
-        persisted = self.store.save(self.queue.drain())
-        if persisted:
-            self.hub.record_event(
-                ("span", os.getpid(), "close", "serve.persist",
-                 time.time(), 0.0))
-        self._drained.set()
-
-    def _experiment_runner(self):
-        if self._runner is None:
-            self._runner = self.config.runner()
-        return self._runner
-
-    def _run_job(self, job: Job) -> None:
-        status = job.status
-        status.state = "running"
-        status.started = time.time()
-        job.add_event({"event": "started", "job": job.id,
-                       "t": status.started})
-        pid = os.getpid()
-
-        def listener(phase: str, span) -> None:
-            name = getattr(span, "name", "")
-            if not (name.startswith("flow.") or name.startswith("exp.")):
-                return
-            seconds = float(span.seconds) if phase == "close" else 0.0
-            event: dict[str, Any] = {"event": "stage", "phase": phase,
-                                     "stage": name, "t": time.time()}
-            if phase == "close":
-                event["seconds"] = round(seconds, 6)
-            job.add_event(event)
-            self.hub.record_event(
-                ("span", pid, phase, name, time.time(), seconds))
-
-        previous = trace_mod.span_listener()
-        trace_mod.set_span_listener(listener)
+        jobs = _ServiceJobs(self)
         try:
-            runner = (self._experiment_runner()
-                      if job.request.kind == "experiment" else None)
-            result = api.submit(job.request, config=self.config,
-                                runner=runner)
-            key = job.request.content_hash()
-            self.artifacts.put(key, result.to_json())
-            status.state = "done"
-            status.artifact = key
-        except Exception as exc:   # noqa: BLE001 -- becomes JobError
-            kind = "timeout" if isinstance(exc, TimeoutError) else "error"
-            status.state = "failed"
-            status.error = JobErrorInfo.from_exception(exc, kind)
+            self._runner._serve(jobs, self._pool)
+        except Exception as exc:   # noqa: BLE001 -- reported below
+            # The scheduler itself failed -- say a replacement worker
+            # could not be forked.  Nothing runs the queue any more:
+            # fail the jobs it had taken, report unhealthy and drain,
+            # which persists the queued jobs for the next start.
+            traceback.print_exc(file=sys.stderr)
+            self._fault = f"scheduler failed: {type(exc).__name__}: {exc}"
+            jobs.abandon(JobError(exc_type=type(exc).__name__,
+                                  message=self._fault, kind="crash"))
+            self.begin_drain()
         finally:
-            trace_mod.set_span_listener(previous)
-            status.finished = time.time()
-            self._served += 1
-            event = {"event": status.state, "job": job.id,
-                     "t": status.finished}
-            if status.artifact:
-                event["artifact"] = status.artifact
-            if status.error is not None:
-                event["error"] = status.error.to_json()
-            job.add_event(event)
-            job.finished.set()
+            persisted = self.store.save(self.queue.drain())
+            if persisted:
+                self.hub.record_event(
+                    ("span", os.getpid(), "close", "serve.persist",
+                     time.time(), 0.0))
+            self._drained.set()
 
     # -- submission ----------------------------------------------------
     def submit(self, request: JobRequest) -> Job:
@@ -380,7 +463,7 @@ class JobServer:
         """NDJSON progress; ends after the job's terminal event.
 
         A client hanging up mid-stream only ends the stream -- the job
-        itself keeps running in the executor thread.
+        itself keeps running in its worker.
         """
         job = self._job(job_id)
         head = (f"HTTP/1.1 200 OK\r\n"
@@ -422,9 +505,11 @@ class JobServer:
     # -- introspection -------------------------------------------------
     def health(self) -> dict[str, Any]:
         return {
-            "ok": True,
+            "ok": self._fault is None,
             "state": "draining" if self.draining else "serving",
             "queued": self.queue.queued(),
+            "running": self._running,
+            "workers": len(self._pool.workers) if self._pool else 0,
             "jobs": len(self.jobs),
             "served": self._served,
             "cached_hits": self._cached_hits,

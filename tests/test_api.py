@@ -222,6 +222,25 @@ class TestSubmitFacade:
         assert result.value["bitstream_sha256"] == \
             hashlib.sha256(legacy.bitstream).hexdigest()
 
+    def test_flow_stage_caches_honour_config_lru_budget(self, tmp_path):
+        # The stage caches' in-process LRU follows Config.cache_lru_mb,
+        # not REPRO_CACHE_LRU_MB.  Blobs enter it on a warm read.
+        from repro.flow import flow as flow_mod
+        from tests.test_flow import COUNTER_VHDL
+        request = JobRequest(kind="flow", vhdl=COUNTER_VHDL)
+
+        def lru_bytes_after_warm_run(lru_mb):
+            cfg = Config.from_env(cache_dir=str(tmp_path / f"c{lru_mb}"),
+                                  cache_lru_mb=lru_mb)
+            api.submit(request, config=cfg)
+            warm = api.submit(request, config=cfg)
+            assert all(warm.value["cache_hits"].values())
+            return flow_mod._stage_cache(cfg.cache_dir,
+                                         cfg.cache_lru_mb).lru_bytes()
+
+        assert lru_bytes_after_warm_run(0.0) == 0
+        assert lru_bytes_after_warm_run(64.0) > 0
+
     def test_flow_value_is_json_safe(self):
         from tests.test_flow import COUNTER_VHDL
         result = api.submit(JobRequest(kind="flow", vhdl=COUNTER_VHDL))

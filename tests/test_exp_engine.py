@@ -38,7 +38,7 @@ class TestJobSpec:
         # Test modules register their own kinds under a leading "_".
         assert [k for k in registered_kinds() if not k.startswith("_")] \
             == ["clock_cells_batch", "detff_batch", "fig_sweep_batch",
-                "selftest"]
+                "selftest", "submit"]
 
     def test_key_is_stable_and_param_order_free(self):
         a = JobSpec.make("fig_sweep_batch", points=[[2.0, 4]], dt=4e-12)

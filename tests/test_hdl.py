@@ -1,9 +1,12 @@
 """Tests for the VHDL front end: lexer, parser, DIVINER synthesis."""
 
+import time
+
 import pytest
 
 from repro.hdl.lexer import VhdlLexError, tokenize
-from repro.hdl.parser import VhdlSyntaxError, check_syntax, parse_vhdl
+from repro.hdl.parser import (MAX_VECTOR_WIDTH, VhdlSyntaxError,
+                              check_syntax, parse_vhdl)
 from repro.hdl.synth import SynthesisError, synthesize
 from repro.tools import druid, structural_to_logic
 
@@ -75,6 +78,35 @@ class TestParser:
                               "in std_logic_vector(0 downto 3);", 1)
         with pytest.raises(VhdlSyntaxError):
             parse_vhdl(bad)
+
+    def test_vector_width_bounded_at_parse_time(self):
+        # Synthesis builds one net per bit: a hostile width must fail
+        # in the parser, naming the width and the limit, at once.
+        widest = MINIMAL.replace(
+            "in std_logic;",
+            f"in std_logic_vector({MAX_VECTOR_WIDTH - 1} downto 0);", 1)
+        assert parse_vhdl(widest).entities["t"].ports[0].width \
+            == MAX_VECTOR_WIDTH
+        for decl in (f"std_logic_vector({MAX_VECTOR_WIDTH} downto 0)",
+                     "std_logic_vector(0 to 99999999)",
+                     "std_logic_vector(99999999 downto 0)"):
+            bad = MINIMAL.replace("in std_logic;", f"in {decl};", 1)
+            t0 = time.perf_counter()
+            with pytest.raises(VhdlSyntaxError,
+                               match=rf"width \d+ exceeds the limit "
+                                     rf"of {MAX_VECTOR_WIDTH} bits"):
+                parse_vhdl(bad)
+            assert time.perf_counter() - t0 < 1.0
+
+    def test_hostile_width_fails_the_flow_fast(self):
+        from repro import api
+        bad = MINIMAL.replace(
+            "in std_logic;", "in std_logic_vector(99999999 downto 0);", 1)
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match="100000000 exceeds"):
+            api.submit(api.JobRequest(kind="flow", vhdl=bad),
+                       config=api.Config.from_env(cache=False))
+        assert time.perf_counter() - t0 < 1.0
 
     def test_unsupported_type(self):
         bad = MINIMAL.replace("in std_logic;", "in integer;", 1)

@@ -3,12 +3,21 @@
 The acceptance path for the service: submit a design, watch per-stage
 progress stream while it runs, fetch the artifact; submit the identical
 design again and get the artifact back without re-execution.  Plus
-graceful drain with queue persistence and resume.
+graceful drain with queue persistence and resume, and jobs running in
+more than one worker at once.
+
+Jobs run in pool workers forked when the server starts, so a test that
+fakes ``api.submit`` patches it before starting the server and
+coordinates with the fake through fork-context ``multiprocessing``
+events.
 """
 
 import asyncio
+import multiprocessing
+import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 
 import pytest
@@ -17,6 +26,9 @@ from repro import api
 from repro.api import JobRequest
 from repro.serve import ArtifactStore, JobServer, ServiceClient
 from tests.test_flow import COUNTER_VHDL
+
+#: Synchronisation primitives shared with forked workers.
+FORK = multiprocessing.get_context("fork")
 
 
 @contextmanager
@@ -53,8 +65,24 @@ def config(tmp_path):
 
 
 @pytest.fixture
+def config2(config):
+    """Two workers: two jobs in flight at once."""
+    return api.Config.from_env(jobs=2, cache_dir=config.cache_dir,
+                               run_db=config.run_db)
+
+
+@pytest.fixture
 def artifact_dir(tmp_path):
     return str(tmp_path / "artifacts")
+
+
+def wait_until(predicate, timeout: float = 20.0) -> bool:
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() >= deadline:
+            return False
+        time.sleep(0.02)
+    return True
 
 
 def test_submit_twice_second_is_artifact_hit(config, artifact_dir):
@@ -81,6 +109,9 @@ def test_submit_twice_second_is_artifact_hit(config, artifact_dir):
         assert first.state == "done"
         assert not first.cached
         assert first.artifact == request.content_hash()
+        health = client.health()
+        assert health["workers"] == 1
+        assert health["running"] == 0
 
         value = client.artifact(first.artifact)
         assert value["kind"] == "flow"
@@ -124,17 +155,13 @@ def test_artifact_store_shared_across_server_restarts(
 
 
 def test_priority_orders_queue(config, artifact_dir, monkeypatch):
-    """Higher-priority jobs pop first once the executor frees up."""
-    gate = threading.Event()
-    entered = threading.Event()
-    ran = []
+    """Higher-priority jobs start first once the worker frees up."""
+    gate, entered = FORK.Event(), FORK.Event()
 
     def fake_submit(request, **kwargs):
         entered.set()
         gate.wait(30)
-        ran.append(request.priority)
-        return api.Result(kind="flow", value={"ok": True},
-                          seconds=0.0, cached=False, artifact=None)
+        return api.Result(kind="flow", value={"ok": True})
 
     monkeypatch.setattr(api, "submit", fake_submit)
     with running_server(config, artifact_dir=artifact_dir) as server:
@@ -142,7 +169,7 @@ def test_priority_orders_queue(config, artifact_dir, monkeypatch):
         # Distinct seeds keep content hashes distinct (no dedup).
         ids = [client.submit(JobRequest(kind="flow", vhdl=COUNTER_VHDL,
                                         seed=100, priority=0)).id]
-        # Make sure the first job occupies the executor before the
+        # Make sure the first job occupies the worker before the
         # contenders queue up behind it.
         assert entered.wait(10)
         for i, prio in enumerate([1, 5]):
@@ -150,16 +177,17 @@ def test_priority_orders_queue(config, artifact_dir, monkeypatch):
                              seed=101 + i, priority=prio)
             ids.append(client.submit(req).id)
         gate.set()
-        for job_id in ids:
-            assert client.wait(job_id, timeout=60).state == "done"
-    assert ran == [0, 5, 1]
+        done = [client.wait(job_id, timeout=60) for job_id in ids]
+    assert [s.state for s in done] == ["done"] * 3
+    assert [s.priority for s in sorted(done, key=lambda s: s.started)] \
+        == [0, 5, 1]
 
 
 def test_drain_persists_queue_and_resume_runs_it(
         config, artifact_dir, monkeypatch):
     """SIGTERM semantics: in-flight finishes, queued persists; a new
     server on the same run DB resumes and executes the backlog."""
-    gate = threading.Event()
+    gate = FORK.Event()
     real_submit = api.submit
 
     def gated_submit(request, **kwargs):
@@ -172,10 +200,8 @@ def test_drain_persists_queue_and_resume_runs_it(
         client = ServiceClient(port=server.port)
         inflight = client.submit(JobRequest(kind="flow",
                                             vhdl=COUNTER_VHDL))
-        deadline = time.monotonic() + 10
-        while (client.status(inflight.id).state != "running"
-               and time.monotonic() < deadline):
-            time.sleep(0.02)
+        assert wait_until(
+            lambda: client.status(inflight.id).state == "running")
         queued = client.submit(queued_req)
         assert client.status(queued.id).state == "queued"
 
@@ -203,6 +229,132 @@ def test_drain_persists_queue_and_resume_runs_it(
     # Nothing left to resume: the queue table was cleared on load.
     with running_server(config, artifact_dir=artifact_dir) as server:
         assert server.health()["resumed"] == 0
+
+
+def test_two_workers_run_two_jobs_at_once(config2, artifact_dir,
+                                          monkeypatch):
+    """With ``jobs=2`` both jobs execute together: each fake waits at
+    a barrier only the other job can release."""
+    both, gate = FORK.Barrier(2), FORK.Event()
+
+    def fake_submit(request, **kwargs):
+        both.wait(10)
+        gate.wait(30)
+        return api.Result(kind="flow", value={"seed": request.seed})
+
+    monkeypatch.setattr(api, "submit", fake_submit)
+    with running_server(config2, artifact_dir=artifact_dir) as server:
+        client = ServiceClient(port=server.port)
+        ids = [client.submit(JobRequest(kind="flow", vhdl=COUNTER_VHDL,
+                                        seed=seed)).id
+               for seed in (1, 2)]
+        try:
+            assert wait_until(lambda: client.health()["running"] == 2)
+            health = client.health()
+            assert health["workers"] == 2 and health["queued"] == 0
+            assert [client.status(i).state for i in ids] \
+                == ["running", "running"]
+        finally:
+            gate.set()
+        a, b = (client.wait(i, timeout=60) for i in ids)
+    assert a.state == b.state == "done"
+    assert a.started < b.finished and b.started < a.finished
+
+
+def test_burst_of_submissions_all_complete(config, artifact_dir,
+                                           monkeypatch):
+    """Four clients submit at once onto four workers (more workers
+    than cores, with frequent thread switches): every job runs and
+    finishes, and none is left queued by a lost wake-up."""
+    def fast_submit(request, **kwargs):
+        return api.Result(kind="flow", value={"seed": request.seed})
+
+    monkeypatch.setattr(api, "submit", fast_submit)
+    config4 = api.Config.from_env(jobs=4, cache_dir=config.cache_dir,
+                                  run_db=config.run_db)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with running_server(config4, artifact_dir=artifact_dir) as server:
+            def submit_ten(tid):
+                client = ServiceClient(port=server.port)
+                return [client.submit(JobRequest(
+                    kind="flow", vhdl=COUNTER_VHDL, seed=100 * tid + k,
+                    tenant=f"t{tid}")).id for k in range(10)]
+
+            with ThreadPoolExecutor(max_workers=4) as clients:
+                futures = [clients.submit(submit_ten, tid)
+                           for tid in range(4)]
+                ids = [i for f in futures for i in f.result(timeout=60)]
+            client = ServiceClient(port=server.port)
+            states = [client.wait(i, timeout=60, poll_s=0.02).state
+                      for i in ids]
+            health = client.health()
+    finally:
+        sys.setswitchinterval(interval)
+    assert states == ["done"] * 40
+    assert health["workers"] == 4
+    assert (health["served"], health["running"], health["queued"]) \
+        == (40, 0, 0)
+
+
+def test_drain_finishes_every_inflight_job(config2, artifact_dir,
+                                           monkeypatch):
+    gate = FORK.Event()
+
+    def gated_submit(request, **kwargs):
+        gate.wait(30)
+        return api.Result(kind="flow", value={"seed": request.seed})
+
+    monkeypatch.setattr(api, "submit", gated_submit)
+    with running_server(config2, artifact_dir=artifact_dir) as server:
+        client = ServiceClient(port=server.port)
+        inflight = [client.submit(JobRequest(
+            kind="flow", vhdl=COUNTER_VHDL, seed=seed)).id
+            for seed in (1, 2)]
+        assert wait_until(lambda: all(
+            client.status(i).state == "running" for i in inflight))
+        queued = client.submit(JobRequest(kind="flow", vhdl=COUNTER_VHDL,
+                                          seed=3))
+        assert client.status(queued.id).state == "queued"
+
+        server.begin_drain()
+        gate.set()
+        assert server._drained.wait(60)
+        assert [client.status(i).state for i in inflight] \
+            == ["done", "done"]
+        assert client.status(queued.id).state == "queued"
+        assert len(server.store) == 1
+
+
+def test_stage_events_stream_while_job_runs(config, artifact_dir,
+                                            monkeypatch):
+    """Progress is live: a stage's close event reaches the stream
+    while its job is still running, not replayed at completion."""
+    gate = FORK.Event()
+    real_submit = api.submit
+
+    def held_submit(request, **kwargs):
+        result = real_submit(request, **kwargs)
+        gate.wait(30)
+        return result
+
+    monkeypatch.setattr(api, "submit", held_submit)
+    with running_server(config, artifact_dir=artifact_dir) as server:
+        client = ServiceClient(port=server.port)
+        job = client.submit(JobRequest(kind="flow", vhdl=COUNTER_VHDL))
+        try:
+            for event in client.events(job.id):
+                if (event.get("stage"), event.get("phase")) \
+                        == ("flow.synthesis", "close"):
+                    assert event["seconds"] >= 0
+                    assert client.status(job.id).state == "running"
+                    break
+            else:
+                pytest.fail("stream ended before flow.synthesis closed")
+        finally:
+            gate.set()
+        assert client.wait(job.id, timeout=120).state == "done"
 
 
 def test_failed_job_reports_structured_error(config, artifact_dir):

@@ -1,18 +1,41 @@
 """Server error paths: every failure is structured JSON with the
-right HTTP status, and a misbehaving client never corrupts a job."""
+right HTTP status, a misbehaving client never corrupts a job, and a
+job that overruns, crashes its worker or declares a hostile vector
+fails alone while the daemon keeps serving."""
 
+import dataclasses
+import errno
 import json
+import os
+import re
+import signal
 import socket
-import threading
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from repro import api
 from repro.api import JobRequest, MAX_BODY_BYTES
+from repro.exp import PersistentPool
 from repro.serve import ServiceClient, ServiceError
 from tests.test_flow import COUNTER_VHDL
-from tests.test_serve import artifact_dir, config, running_server  # noqa: F401
+from tests.test_serve import (FORK, artifact_dir, config,  # noqa: F401
+                              running_server)
+
+#: One input port of 100,000,000 bits: far over the parser's limit.
+HOSTILE_VHDL = """
+entity wide is
+  port (a : in std_logic_vector(99999999 downto 0);
+        y : out std_logic);
+end wide;
+architecture rtl of wide is
+begin
+  y <= a(0);
+end rtl;
+"""
 
 
 def _raw_exchange(port, payload: bytes) -> tuple[int, dict]:
@@ -140,8 +163,7 @@ class TestLookupErrors:
 
 
 def test_quota_exceeded_is_429(config, artifact_dir, monkeypatch):
-    gate = threading.Event()
-    entered = threading.Event()
+    gate, entered = FORK.Event(), FORK.Event()
 
     def fake_submit(request, **kwargs):
         entered.set()
@@ -154,7 +176,7 @@ def test_quota_exceeded_is_429(config, artifact_dir, monkeypatch):
         client = ServiceClient(port=server.port)
         running = client.submit(JobRequest(kind="flow",
                                            vhdl=COUNTER_VHDL, seed=1))
-        assert entered.wait(10)      # occupies the executor, not quota
+        assert entered.wait(10)      # occupies the worker, not quota
         queued = client.submit(JobRequest(kind="flow",
                                           vhdl=COUNTER_VHDL, seed=2))
         with pytest.raises(ServiceError) as exc:
@@ -176,8 +198,7 @@ def test_quota_exceeded_is_429(config, artifact_dir, monkeypatch):
 def test_client_disconnect_mid_stream_job_completes(
         config, artifact_dir, monkeypatch):
     """Hanging up on the event stream must not kill the job."""
-    gate = threading.Event()
-    entered = threading.Event()
+    gate, entered = FORK.Event(), FORK.Event()
 
     def fake_submit(request, **kwargs):
         entered.set()
@@ -216,14 +237,183 @@ def test_draining_rejects_new_submissions_with_503(
 
 def test_timeout_failure_reports_kind_timeout(
         config, artifact_dir, monkeypatch):
-    def timing_out_submit(request, **kwargs):
-        raise TimeoutError("job exceeded 0.1s")
+    """A job past ``Config.job_timeout_s`` has its worker killed and
+    replaced; the replacement serves the next job."""
+    def slow_submit(request, **kwargs):
+        if request.seed == 1:
+            time.sleep(30)
+        return api.Result(kind="flow", value={"ok": True})
 
-    monkeypatch.setattr(api, "submit", timing_out_submit)
+    monkeypatch.setattr(api, "submit", slow_submit)
+    config = dataclasses.replace(config, job_timeout_s=0.5)
     with running_server(config, artifact_dir=artifact_dir) as server:
         client = ServiceClient(port=server.port)
+        t0 = time.monotonic()
         job = client.submit(JobRequest(kind="flow", vhdl=COUNTER_VHDL))
-        status = client.wait(job.id, timeout=30)
+        status = client.wait(job.id, timeout=30, poll_s=0.05)
+        assert time.monotonic() - t0 < 10
         assert status.state == "failed"
         assert status.error.kind == "timeout"
-        assert "0.1s" in status.error.message
+        assert status.error.exc_type == "TimeoutError"
+        assert "0.5s" in status.error.message
+        after = client.submit(JobRequest(kind="flow", vhdl=COUNTER_VHDL,
+                                         seed=2))
+        assert client.wait(after.id, timeout=30).state == "done"
+        assert client.health()["workers"] == 1
+
+
+def test_worker_crash_reports_kind_crash(config, artifact_dir,
+                                         monkeypatch):
+    def crashing_submit(request, **kwargs):
+        if request.seed == 13:
+            os._exit(3)
+        return api.Result(kind="flow", value={"ok": True})
+
+    monkeypatch.setattr(api, "submit", crashing_submit)
+    with running_server(config, artifact_dir=artifact_dir) as server:
+        client = ServiceClient(port=server.port)
+        crashed = client.wait(client.submit(JobRequest(
+            kind="flow", vhdl=COUNTER_VHDL, seed=13)).id, timeout=30)
+        assert crashed.state == "failed"
+        assert crashed.error.kind == "crash"
+        assert crashed.error.exc_type == "WorkerCrashed"
+        assert crashed.artifact is None
+        after = client.wait(client.submit(JobRequest(
+            kind="flow", vhdl=COUNTER_VHDL, seed=14)).id, timeout=30)
+        assert after.state == "done"
+        health = client.health()
+        assert health["ok"] is True
+        assert health["workers"] == 1 and health["running"] == 0
+
+
+def test_stream_ends_after_a_worker_is_replaced(config, artifact_dir,
+                                                monkeypatch):
+    """A worker forked to replace a dead one starts with copies of
+    every socket open at that moment; an event stream open then must
+    still end at its job's terminal event."""
+    gate = FORK.Event()
+
+    def fake_submit(request, **kwargs):
+        if request.seed == 13:
+            os._exit(3)
+        gate.wait(30)
+        return api.Result(kind="flow", value={"ok": True})
+
+    monkeypatch.setattr(api, "submit", fake_submit)
+    config = dataclasses.replace(config, jobs=2)
+    with running_server(config, artifact_dir=artifact_dir) as server:
+        client = ServiceClient(port=server.port, timeout=10)
+        held = client.submit(JobRequest(kind="flow", vhdl=COUNTER_VHDL))
+        events = client.events(held.id)
+        assert next(events)["event"] == "queued"
+        crashed = client.wait(client.submit(JobRequest(
+            kind="flow", vhdl=COUNTER_VHDL, seed=13)).id, timeout=30)
+        assert crashed.error.kind == "crash"
+        gate.set()
+        t0 = time.monotonic()
+        assert list(events)[-1]["event"] == "done"
+        assert time.monotonic() - t0 < 5
+
+
+def test_scheduler_failure_fails_taken_jobs_and_drains(
+        config, artifact_dir, monkeypatch):
+    """A worker crashes and its replacement cannot be forked, which
+    ends the scheduler: the job still running elsewhere fails, the
+    server reports unhealthy and refuses work, and the queued job
+    persists for the next start."""
+    entered = FORK.Event()
+    real_spawn = PersistentPool._spawn
+
+    def spawn_no_replacement(self):
+        if self.spawned >= 2:
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+        return real_spawn(self)
+
+    def fake_submit(request, **kwargs):
+        if request.seed == 13:
+            os._exit(3)
+        entered.set()
+        time.sleep(30)
+
+    monkeypatch.setattr(PersistentPool, "_spawn", spawn_no_replacement)
+    monkeypatch.setattr(api, "submit", fake_submit)
+    config = dataclasses.replace(config, jobs=2)
+    with running_server(config, artifact_dir=artifact_dir) as server:
+        client = ServiceClient(port=server.port)
+        held = client.submit(JobRequest(kind="flow", vhdl=COUNTER_VHDL))
+        assert entered.wait(10)
+        crashed = client.submit(JobRequest(kind="flow", vhdl=COUNTER_VHDL,
+                                           seed=13))
+        queued = client.submit(JobRequest(kind="flow", vhdl=COUNTER_VHDL,
+                                          seed=3))
+        status = client.wait(held.id, timeout=30)
+        assert status.state == "failed"
+        assert status.error.kind == "crash"
+        assert status.error.exc_type == "BlockingIOError"
+        assert "scheduler failed" in status.error.message
+        assert client.status(crashed.id).error.kind == "crash"
+        assert server._drained.wait(10)
+        assert client.status(queued.id).state == "queued"
+        health = client.health()
+        assert health["ok"] is False
+        assert health["state"] == "draining"
+        assert health["running"] == 0
+        with pytest.raises(ServiceError) as exc:
+            client.submit(JobRequest(kind="flow", vhdl=COUNTER_VHDL))
+        assert exc.value.status == 503
+    monkeypatch.undo()
+    with running_server(config, artifact_dir=artifact_dir) as server:
+        assert server.health()["resumed"] == 1
+        assert server.health()["ok"] is True
+
+
+def test_timeouts_on_a_replacement_worker_leave_the_daemon_serving(
+        tmp_path):
+    """A real ``repro-flow serve`` daemon: two flows in a row overrun
+    ``REPRO_JOB_TIMEOUT`` on its one worker slot.  The second runs on a
+    replacement forked after the daemon's loop took over SIGTERM and
+    SIGINT, and killing that worker must not drain the daemon."""
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src"),
+           "REPRO_JOB_TIMEOUT": "0.05"}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.flow.cli", "serve", "--port", "0",
+         "--jobs", "1", "--cache-dir", str(tmp_path / "cache"),
+         "--artifact-dir", str(tmp_path / "artifacts"),
+         "--run-db", str(tmp_path / "runs.db")],
+        env=env, cwd=str(root), stderr=subprocess.PIPE, text=True)
+    try:
+        banner = proc.stderr.readline()
+        port = int(re.search(r"serving on http://[^:]+:(\d+)",
+                             banner).group(1))
+        client = ServiceClient(port=port)
+        for seed in (1, 2):
+            status = client.wait(client.submit(JobRequest(
+                kind="flow", vhdl=COUNTER_VHDL, seed=seed)).id,
+                timeout=30, poll_s=0.02)
+            assert status.state == "failed"
+            assert status.error.kind == "timeout"
+        health = client.health()
+        assert health["ok"] is True
+        assert health["state"] == "serving"
+        assert health["workers"] == 1
+        proc.send_signal(signal.SIGTERM)
+        _, err = proc.communicate(timeout=30)
+        assert "drained cleanly (2 job(s) served)" in err
+        assert proc.returncode == 0
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+
+
+def test_hostile_vector_width_fails_fast(client):
+    t0 = time.monotonic()
+    job = client.submit(JobRequest(kind="flow", vhdl=HOSTILE_VHDL))
+    status = client.wait(job.id, timeout=30, poll_s=0.01)
+    assert time.monotonic() - t0 < 1.0
+    assert status.state == "failed"
+    assert status.error.kind == "error"
+    assert "100000000" in status.error.message
+    assert "1024" in status.error.message
+    assert client.health()["ok"] is True
