@@ -304,12 +304,20 @@ def _try_moves(rng: random.Random, board: _Board, model, n: int, *,
 
     A CLB moves by up to ``r`` sites per axis, an IO pad to any free IO
     site or onto another pad.  Every draw from ``rng`` matches the
-    ``Site``-based annealer this replaced: ``choice`` of the mover over
-    ``movable``; for a CLB two ``randint(-r, r)`` offsets, a move onto
-    its own site proposing nothing; for a pad one index into the pool
-    of free IO sites (free-list order) followed by the other movable
-    pads (``movable`` order), which is never built; and ``random()``
-    only to accept an uphill move, never when ``commit_always``.
+    ``Site``-based annealer this replaced: the mover's index into
+    ``movable``; for a CLB two offsets in ``[-r, r]``, a move onto its
+    own site proposing nothing; for a pad one index into the pool of
+    free IO sites (free-list order) followed by the other movable pads
+    (``movable`` order), which is never built; and ``random()`` only to
+    accept an uphill move, never when ``commit_always``.
+
+    Each integer below a bound ``m`` is drawn as CPython's
+    ``Random.choice`` and ``Random.randint`` draw it (``_randbelow``):
+    ``getrandbits(m.bit_length())``, redrawn while ``>= m``.  So the
+    stream, and with it every placement, is the one those calls give.
+    Every bound is at least 1 when drawn, since ``getrandbits(0)`` is
+    always 0 and a zero bound would redraw forever: ``movable`` is never
+    empty, ``2r + 1 >= 3``, and a pad draws only from a non-empty pool.
     """
     x = model.x
     y = model.y
@@ -326,27 +334,43 @@ def _try_moves(rng: random.Random, board: _Board, model, n: int, *,
     movable = board.movable
     n_clb = board.n_movable_clb
     pads = board.pads
-    n_others = len(pads) - 1
-    picks = range(len(movable))
     exp = math.exp
-    randint = rng.randint
+    getrandbits = rng.getrandbits
+    n_movable = len(movable)
+    k_movable = n_movable.bit_length()
+    span = 2 * r + 1
+    k_span = span.bit_length()
+    # Every move takes one site off the free list and puts one back, so
+    # the pad pool's size is fixed for the whole call.
+    nf = len(free)
+    n_pool = nf + len(pads) - 1
+    k_pool = n_pool.bit_length()
     accepted: list[float] = []
     for _ in range(n):
-        i = rng.choice(picks)
+        i = getrandbits(k_movable)
+        while i >= n_movable:
+            i = getrandbits(k_movable)
         b = movable[i]
         sx = x[b]
         sy = y[b]
         if i < n_clb:
-            tx = min(max(1, sx + randint(-r, r)), size)
-            ty = min(max(1, sy + randint(-r, r)), size)
+            dx = getrandbits(k_span)
+            while dx >= span:
+                dx = getrandbits(k_span)
+            dy = getrandbits(k_span)
+            while dy >= span:
+                dy = getrandbits(k_span)
+            tx = min(max(1, sx + dx - r), size)
+            ty = min(max(1, sy + dy - r), size)
             if tx == sx and ty == sy:
                 continue
             o = occ[tx * stride + ty]
         else:
-            nf = len(free)
-            if not nf + n_others:
+            if not n_pool:
                 continue
-            k = rng.choice(range(nf + n_others))
+            k = getrandbits(k_pool)
+            while k >= n_pool:
+                k = getrandbits(k_pool)
             if k < nf:
                 dst = free[k]
                 o = -1

@@ -111,14 +111,26 @@ def _route_all_incremental(placement: Placement, g: RRGraph, *,
     (the reference lives in ``tests/oracles/route.py``): every float
     reaching the Dijkstra heap is the same python float, so
     relaxations and pops happen in the same order.
-    The wins are structural -- the ``base * hist`` product is
-    materialised once per iteration instead of per edge relaxation
-    (``hist`` only changes between iterations), the SINK test is a
-    precomputed bool list instead of a node-attribute lookup, and each
-    sink search reuses preallocated dist/prev arrays (reset via a
-    touched list) instead of rebuilding dicts.  Returns the result
-    plus the number of Dijkstra searches served by the reused
-    structures (``route.heap_reuse``).
+
+    An edge relaxation is one addition, ``d + cost[v]``, over a cached
+    cost per node.  Between searches the cache holds:
+
+    * every non-sink ``v``: ``cost[v] == bh[v] * p``, the reference's
+      float, with ``bh = base * hist`` and ``p = 1.0 + pres_fac * over``
+      where ``over = occ[v] + 1 - cap[v] > 0``, else ``p = 1.0``;
+    * every sink: ``inf``, so no search enters a sink it does not
+      target (``d + inf`` never improves a distance);
+    * the target's entry is set just before its search and reset to
+      ``inf`` just after.
+
+    Rip-up and commit refresh the entry of each node whose occupancy
+    they change.  ``hist`` and ``pres_fac`` change only between
+    iterations, where the whole list is rebuilt in numpy with the same
+    per-element float ops, ``(base * hist) * p``, so ``tolist()``
+    returns the same python floats.  Each sink search reuses
+    preallocated dist/prev arrays (reset via a touched list).  Returns
+    the result plus the number of Dijkstra searches served by the
+    reused structures (``route.heap_reuse``).
     """
     nets = placement.nets
     terminals: dict[str, tuple[int, list[int]]] = {}
@@ -136,28 +148,44 @@ def _route_all_incremental(placement: Placement, g: RRGraph, *,
     hist_np = np.ones(n)
     # tolist() yields python floats bit-identical to the per-edge
     # ``_BASE_COST[kind] * hist[v]`` products.
-    bh = (base_np * hist_np).tolist()
+    bh_np = base_np * hist_np
+    bh = bh_np.tolist()
     is_sink = [node.kind == "SINK" for node in g.nodes]
+    sink_mask = np.array(is_sink)
     edges = [node.edges for node in g.nodes]
     inf = float("inf")
     dist = [inf] * n
     prev = [0] * n
     touched: list[int] = []
     searches = 0
+    heappush = heapq.heappush
+    heappop = heapq.heappop
 
     trees: dict[str, RouteTree] = {}
     pres_fac = 0.5
+    occ_np = np.zeros(n, dtype=np.int64)
     order = sorted(nets, key=lambda nm: (-len(nets[nm]["sinks"]), nm))
 
     for it in range(1, max_iterations + 1):
+        # The whole cache at this iteration's hist and pres_fac: per
+        # element the same ``bh[v] * p`` as the refreshes below.
+        over_np = occ_np + 1 - cap_np
+        cost_np = bh_np * np.where(over_np > 0, 1.0 + pres_fac * over_np,
+                                   1.0)
+        cost_np[sink_mask] = inf
+        cost = cost_np.tolist()
         for name in order:
             src, sinks = terminals[name]
             old = trees.pop(name, None)
             if old is not None:
-                for node in old.parents:
-                    occ[node] -= 1
+                for v in old.parents:
+                    occ[v] -= 1
+                    if not is_sink[v]:
+                        over = occ[v] + 1 - cap[v]
+                        cost[v] = bh[v] * (1.0 + (pres_fac * over
+                                                  if over > 0 else 0.0))
 
-            tree = RouteTree("", src, {src: -1})
+            tree = RouteTree(name, src, {src: -1})
             seen: set[int] = set()
             remaining = [s for s in sinks
                          if not (s in seen or seen.add(s))]
@@ -170,27 +198,26 @@ def _route_all_incremental(placement: Placement, g: RRGraph, *,
                 for t_node in tree.parents:
                     dist[t_node] = 0.0
                     touched.append(t_node)
-                    heapq.heappush(heap, (0.0, t_node))
+                    heappush(heap, (0.0, t_node))
+                over = occ[target] + 1 - cap[target]
+                cost[target] = bh[target] * (1.0 + (pres_fac * over
+                                                    if over > 0 else 0.0))
                 found = False
                 while heap:
-                    d, u = heapq.heappop(heap)
+                    d, u = heappop(heap)
                     if d > dist[u]:
                         continue
                     if u == target:
                         found = True
                         break
                     for v in edges[u]:
-                        if is_sink[v] and v != target:
-                            continue
-                        over = occ[v] + 1 - cap[v]
-                        p = 1.0 + (pres_fac * over if over > 0
-                                   else 0.0)
-                        ndist = d + bh[v] * p
+                        ndist = d + cost[v]
                         if ndist < dist[v]:
                             dist[v] = ndist
                             prev[v] = u
                             touched.append(v)
-                            heapq.heappush(heap, (ndist, v))
+                            heappush(heap, (ndist, v))
+                cost[target] = inf
                 if not found:
                     raise RuntimeError(
                         "routing graph disconnected: sink unreachable "
@@ -200,8 +227,12 @@ def _route_all_incremental(placement: Placement, g: RRGraph, *,
                     tree.parents[node] = prev[node]
                     node = prev[node]
 
-            for node in tree.parents:
-                occ[node] += 1
+            for v in tree.parents:
+                occ[v] += 1
+                if not is_sink[v]:
+                    over = occ[v] + 1 - cap[v]
+                    cost[v] = bh[v] * (1.0 + (pres_fac * over
+                                              if over > 0 else 0.0))
             trees[name] = tree
 
         occ_np = np.array(occ, dtype=np.int64)
@@ -214,7 +245,8 @@ def _route_all_incremental(placement: Placement, g: RRGraph, *,
         # ``hist[i] += acc_fac * (occ[i] - cap[i])`` update.
         hist_np[over_mask] += acc_fac * (occ_np[over_mask]
                                          - cap_np[over_mask])
-        bh = (base_np * hist_np).tolist()
+        bh_np = base_np * hist_np
+        bh = bh_np.tolist()
         pres_fac *= pres_fac_mult
 
     return RoutingResult(False, max_iterations, trees,

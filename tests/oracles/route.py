@@ -49,7 +49,8 @@ def route_all(placement: Placement, g: RRGraph, *, max_iterations: int,
             if old is not None:
                 for node in old.parents:
                     occ[node] -= 1
-            tree = _route_net(g, src, sinks, occ, hist, cap, pres_fac)
+            tree = _route_net(g, name, src, sinks, occ, hist, cap,
+                              pres_fac)
             for node in tree.parents:
                 occ[node] += 1
             trees[name] = tree
@@ -67,10 +68,10 @@ def route_all(placement: Placement, g: RRGraph, *, max_iterations: int,
                          g.arch.channel_width, overused), 0
 
 
-def _route_net(g: RRGraph, src: int, sinks: list[int], occ, hist, cap,
-               pres_fac: float) -> RouteTree:
+def _route_net(g: RRGraph, name: str, src: int, sinks: list[int], occ,
+               hist, cap, pres_fac: float) -> RouteTree:
     """Route one net: sequential Dijkstra from the growing tree."""
-    tree = RouteTree("", src, {src: -1})
+    tree = RouteTree(name, src, {src: -1})
     seen: set[int] = set()
     remaining = [s for s in sinks if not (s in seen or seen.add(s))]
 

@@ -22,6 +22,8 @@ This suite pins the equivalence contract:
   names the offending nodes and timestep.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -245,6 +247,29 @@ class TestRouterEquivalence:
         assert a.overused == b.overused
         assert {k: t.parents for k, t in a.trees.items()} \
             == {k: t.parents for k, t in b.trees.items()}
+
+    @pytest.mark.parametrize("width,iterations,success",
+                             [(8, 12, True), (6, 40, False)])
+    def test_incremental_routing_exact_under_congestion(
+            self, pr_netlists, monkeypatch, width, iterations, success):
+        """Many PathFinder iterations, where present and history costs
+        grow: every cached node cost the router refreshes is read.
+
+        Trees are compared with their insertion order and net names.
+        """
+        pl = place(pr_netlists["rand"], DEFAULT_ARCH, seed=5, effort=0.5)
+        g = build_rr_graph(replace(DEFAULT_ARCH, channel_width=width),
+                           pl.grid_size)
+        b = route(pl, g)
+        monkeypatch.setattr(router, "_route_all_incremental", route_all)
+        a = route(pl, g)
+        assert (b.iterations, b.success) == (iterations, success)
+        assert (a.success, a.iterations, a.overused) \
+            == (b.success, b.iterations, b.overused)
+        assert [(k, t.net, list(t.parents.items()))
+                for k, t in a.trees.items()] \
+            == [(k, t.net, list(t.parents.items()))
+                for k, t in b.trees.items()]
 
     def test_min_width_search_exact(self, pr_netlists, monkeypatch):
         pl = place(pr_netlists["counter8"], DEFAULT_ARCH, seed=5,
