@@ -10,10 +10,10 @@ product landscape, showing:
 * the improvement from double metal spacing (why the platform routes
   at minimum width / double spacing).
 
-Run:  python examples/interconnect_exploration.py       (~2 min)
+Run:  python examples/interconnect_exploration.py       (~10 s)
 """
 
-from repro.circuit.interconnect import measure_routing, optimum_width
+from repro.circuit.interconnect import optimum_width, sweep_pass_transistor
 
 WIDTHS = [1.0, 2.0, 4.0, 8.0, 10.0, 16.0, 32.0, 64.0]
 LENGTHS = [1, 4, 8]
@@ -21,14 +21,8 @@ DT = 4e-12
 
 
 def sweep(metal_spacing: float) -> dict[int, list]:
-    out = {}
-    for length in LENGTHS:
-        out[length] = [
-            measure_routing(width_mult=w, wire_length=length,
-                            metal_spacing=metal_spacing, dt=DT)
-            for w in WIDTHS
-        ]
-    return out
+    return sweep_pass_transistor(WIDTHS, LENGTHS,
+                                 metal_spacing=metal_spacing, dt=DT)
 
 
 def report(label: str, data) -> None:

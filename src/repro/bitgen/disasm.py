@@ -12,13 +12,13 @@ database, recover
 * a simulatable :class:`~repro.netlist.logic.LogicNetwork` equivalent
   to the configured device.
 
-The recovered network is the third oracle of the differential suite:
+This is the package's one bitstream decoder:
+:class:`~repro.bitgen.devicesim.DeviceSimulator` boots a running
+device from the recovered network.  In the differential suite
 ``source netlist -> bitstream -> disassemble -> simulate`` must agree
-cycle-for-cycle with a logic-level simulation of the source.  Unlike
-:class:`~repro.bitgen.devicesim.DeviceSimulator` (which *interprets*
-the configuration), the disassembler lifts it back to netlist form, so
-the two decoders are independent implementations of the same
-semantics.
+cycle-for-cycle with a logic-level simulation of the source, and with
+the switch-box flood decoder kept as an independent reference
+implementation in ``tests/oracles/devicesim.py``.
 
 Malformed or inconsistent configurations -- selects out of range,
 tracks claimed by two drivers, pads in impossible modes, clock enables

@@ -4,23 +4,24 @@ Public surface:
 
 * :class:`~repro.circuit.technology.Technology` / ``STM018`` -- process
 * :class:`~repro.circuit.network.Circuit` -- netlist builder
-* :func:`~repro.circuit.simulator.simulate` -- transient analysis
-* :func:`~repro.circuit.batchsim.simulate_batch` -- batched transient
-  analysis (many independent circuits, one tensor-shaped run)
+* :func:`~repro.circuit.batchsim.simulate_batch` -- transient analysis
+  of many independent circuits in one tensor-shaped run (the one step
+  loop)
+* :func:`~repro.circuit.simulator.simulate` -- transient analysis of
+  one circuit (a batch of one)
 * :mod:`~repro.circuit.cells` / :mod:`~repro.circuit.flipflops` -- cell
   and DETFF library
 * :mod:`~repro.circuit.experiments` -- Table 1/2/3 and Fig. 8/9/10
   drivers
 """
 
-from .batchsim import BatchTransientSimulator, simulate_batch
+from .batchsim import simulate_batch
 from .network import Circuit
 from .simulator import (ConvergenceError, NewtonConvergenceError,
-                        TransientResult, TransientSimulator, simulate)
+                        TransientResult, simulate)
 from .technology import MetalLayer, STM018, Technology
 
 __all__ = [
-    "BatchTransientSimulator",
     "Circuit",
     "ConvergenceError",
     "MetalLayer",
@@ -28,7 +29,6 @@ __all__ = [
     "STM018",
     "Technology",
     "TransientResult",
-    "TransientSimulator",
     "simulate",
     "simulate_batch",
 ]

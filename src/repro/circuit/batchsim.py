@@ -1,37 +1,40 @@
 """Batched transient engine: many independent circuits, one tensor run.
 
-A figure sweep (pass-transistor widths x wire lengths) or a table of
-cell characterisations is dozens of *independent* transient analyses,
-each dominated by the Python step/Newton loop of
-:class:`~repro.circuit.simulator.TransientSimulator`.  This module runs
-them all at once: the circuits are stacked block-diagonally (node,
-device and Jacobian arrays concatenated with per-circuit offsets) so
-one backward-Euler/Newton loop advances every circuit in lock step,
-with per-batch-element convergence masking.  The Python-loop iteration
-count drops from the *sum* of the per-circuit step counts to their
-*maximum*, which is where the 10x+ sweep speedup comes from.
+The package's one transient step loop.  A figure sweep
+(pass-transistor widths x wire lengths) or a table of cell
+characterisations is dozens of *independent* transient analyses, each
+thousands of backward-Euler steps over a few tens of nodes.  This
+module runs them all at once: the circuits are stacked
+block-diagonally (node, device and Jacobian arrays concatenated with
+per-circuit offsets) so one backward-Euler/Newton loop advances every
+circuit in lock step, with per-batch-element convergence masking.  The
+Python-loop iteration count is the *maximum* of the per-circuit step
+counts rather than their sum.  A single circuit
+(:func:`~repro.circuit.simulator.simulate`) is a batch of one.
 
 Bit-equivalence contract
 ------------------------
 With ``solver="dense"`` the engine produces **bit-identical** waveforms
-to the scalar oracle, not merely close ones, so the differential test
-layer (``tests/test_vectorized_equivalence.py``) can assert equality:
+to the one-circuit-at-a-time reference loop kept in
+``tests/oracles/transient.py``, not merely close ones, so the
+differential test layer (``tests/test_vectorized_equivalence.py``) can
+assert equality:
 
 * the MOSFET model is the same code
   (:func:`~repro.circuit.simulator.mos_currents`), evaluated
   elementwise -- values do not depend on which stack a device sits in;
 * ``np.bincount`` accumulates per bin in input order, and the global
   index arrays keep each circuit's stamps in the same section-major
-  order the scalar compiler emits, so every nodal sum has the same
+  order as a single circuit's, so every nodal sum has the same
   floating-point association;
 * the dense solves are grouped by matrix size and dispatched through
-  the same LAPACK ``dgesv`` path a scalar ``np.linalg.solve`` uses,
+  the same LAPACK ``dgesv`` path a single ``np.linalg.solve`` uses,
   one independent factorisation per circuit;
-* convergence is judged per element with the scalar criterion
-  (``max|dv| < tol`` after the clipped update) and a converged
-  element's state is frozen while the rest keep iterating;
-* a failing element falls back to the scalar engine's 8-substep
-  source-ramping recovery, run on a single-element pack.
+* convergence is judged per element (``max|dv| < NEWTON_TOL`` after
+  the clipped update) and a converged element's state is frozen while
+  the rest keep iterating;
+* a failing element falls back to an 8-substep source-ramping
+  recovery, run on a single-element pack.
 
 The default ``solver="auto"`` additionally enables a **banded** linear
 path when every stacked Jacobian has small bandwidth (the figure
@@ -55,21 +58,27 @@ import numpy as np
 
 from .. import obs
 from .network import Circuit
-from .simulator import (NewtonConvergenceError, TransientResult,
-                        TransientSimulator, mos_currents)
+from .simulator import (CompiledCircuit, NewtonConvergenceError,
+                        TransientResult, mos_currents)
 
 try:                               # scipy ships in the platform image,
     from scipy.linalg import lapack as _lapack   # but stay importable
 except Exception:                  # pragma: no cover - no scipy
     _lapack = None
 
-__all__ = ["BatchTransientSimulator", "simulate_batch"]
+__all__ = ["simulate_batch"]
 
 #: Maximum Jacobian bandwidth for which ``solver="auto"`` picks the
 #: single-``dgbsv`` banded path over per-circuit dense solves.  The
 #: figure sweeps' RC ladders have bandwidth 2; the DETFF cells (11-15)
-#: stay dense and therefore bit-exact against the scalar oracle.
+#: stay dense and therefore bit-exact against the reference loop.
 AUTO_BAND_LIMIT = 6
+
+#: Newton iterations per step before the substep recovery takes over.
+MAX_NEWTON = 30
+
+#: Newton convergence tolerance: ``max|dv|`` below this ends a step (V).
+NEWTON_TOL = 1e-4
 
 
 class _Element:
@@ -77,18 +86,17 @@ class _Element:
 
     def __init__(self, index: int, circuit: Circuit):
         self.index = index
-        self.sim = TransientSimulator(circuit)
-        if self.sim.nf == 0:
+        self.circuit = circuit
+        self.cc = CompiledCircuit(circuit)
+        if self.cc.nf == 0:
             raise ValueError(
                 f"circuit #{index} has no free nodes; nothing to solve")
 
     # -- per-run state --------------------------------------------------
-    def configure(self, t_end: float, dt: float,
-                  v_init: dict[str, float] | None,
-                  record_every: int) -> None:
-        ckt = self.sim.circuit
+    def configure(self, t_end: float, dt: float) -> None:
+        """Sample the stimulus and start every node at 0 V."""
+        ckt = self.circuit
         self.n_steps = int(round(t_end / dt))
-        self.record_every = record_every
         self.times = np.arange(self.n_steps + 1) * dt
 
         self.src_idx = np.array(sorted(ckt.sources), dtype=np.int64)
@@ -96,33 +104,28 @@ class _Element:
         for k, idx in enumerate(self.src_idx):
             self.src_wave[k] = ckt.sources[idx].sample(self.times)
 
-        v = np.zeros(self.sim.n)
-        if v_init:
-            for name, val in v_init.items():
-                v[ckt.node(name)] = val
+        v = np.zeros(self.cc.n)
         v[self.src_idx] = self.src_wave[:, 0]
         self.v = v
 
-        n_rec = self.n_steps // record_every + 1
-        self.volts = np.empty((n_rec, self.sim.n))
-        self.i_sup = np.empty(n_rec)
+        self.volts = np.empty((self.n_steps + 1, self.cc.n))
+        self.i_sup = np.empty(self.n_steps + 1)
 
-    def worst_nodes(self, dv: np.ndarray | None, tol: float) -> list[str]:
+    def worst_nodes(self, dv: np.ndarray | None) -> list[str]:
         """Names of the free nodes furthest from convergence."""
         if dv is None or not dv.size:
             return []
-        sim = self.sim
         order = np.argsort(-np.abs(dv))[:3]
-        return [sim.circuit.node_name(sim.free[i]) for i in order
-                if abs(dv[i]) >= tol]
+        return [self.circuit.node_name(self.cc.free[i]) for i in order
+                if abs(dv[i]) >= NEWTON_TOL]
 
     def result(self) -> TransientResult:
         return TransientResult(
-            time=self.times[::self.record_every],
+            time=self.times,
             voltages=self.volts,
             supply_current=self.i_sup,
-            node_names=self.sim.circuit.names(),
-            vdd=self.sim.vdd,
+            node_names=self.circuit.names(),
+            vdd=self.circuit.tech.vdd,
         )
 
 
@@ -148,15 +151,13 @@ class _Pack:
     contiguous solve groups.
     """
 
-    def __init__(self, elements: list[_Element], solver: str = "auto"):
-        if solver not in ("auto", "dense", "banded"):
-            raise ValueError(f"unknown solver {solver!r}")
+    def __init__(self, elements: list[_Element], solver: str):
         self.elements = elements
-        sims = [el.sim for el in elements]
+        ccs = [el.cc for el in elements]
         self.B = len(elements)
 
-        n_list = [s.n for s in sims]
-        nf_list = [s.nf for s in sims]
+        n_list = [s.n for s in ccs]
+        nf_list = [s.nf for s in ccs]
         self.node_off = np.concatenate(
             ([0], np.cumsum(n_list))).astype(np.int64)
         self.free_off = np.concatenate(
@@ -168,10 +169,10 @@ class _Pack:
 
         offs = self.node_off[:-1]
         self.free_g = np.concatenate(
-            [s.free + o for s, o in zip(sims, offs)])
-        self.cap_free = np.concatenate([s.cap[s.free] for s in sims])
+            [s.free + o for s, o in zip(ccs, offs)])
+        self.cap_free = np.concatenate([s.cap[s.free] for s in ccs])
         self.vdd_idx = np.array(
-            [o + s.vdd_idx for s, o in zip(sims, offs)], dtype=np.int64)
+            [o + s.vdd_idx for s, o in zip(ccs, offs)], dtype=np.int64)
 
         src_counts = [el.src_idx.size for el in elements]
         self.src_off = np.concatenate(
@@ -182,23 +183,23 @@ class _Pack:
             if self.n_src else np.empty(0, dtype=np.int64))
 
         # Device arrays with node offsets applied.
-        self.m_d = np.concatenate([s.m_d + o for s, o in zip(sims, offs)])
-        self.m_g = np.concatenate([s.m_g + o for s, o in zip(sims, offs)])
-        self.m_s = np.concatenate([s.m_s + o for s, o in zip(sims, offs)])
-        self.m_p = np.concatenate([s.m_p for s in sims])
-        self.m_beta = np.concatenate([s.m_beta for s in sims])
-        self.m_vt = np.concatenate([s.m_vt for s in sims])
-        self.m_lam = np.concatenate([s.m_lam for s in sims])
-        self.m_ioff = np.concatenate([s.m_ioff for s in sims])
+        self.m_d = np.concatenate([s.m_d + o for s, o in zip(ccs, offs)])
+        self.m_g = np.concatenate([s.m_g + o for s, o in zip(ccs, offs)])
+        self.m_s = np.concatenate([s.m_s + o for s, o in zip(ccs, offs)])
+        self.m_p = np.concatenate([s.m_p for s in ccs])
+        self.m_beta = np.concatenate([s.m_beta for s in ccs])
+        self.m_vt = np.concatenate([s.m_vt for s in ccs])
+        self.m_lam = np.concatenate([s.m_lam for s in ccs])
+        self.m_ioff = np.concatenate([s.m_ioff for s in ccs])
 
-        self.r_a = np.concatenate([s.r_a + o for s, o in zip(sims, offs)])
-        self.r_b = np.concatenate([s.r_b + o for s, o in zip(sims, offs)])
-        self.r_cond = np.concatenate([s.r_g for s in sims])
+        self.r_a = np.concatenate([s.r_a + o for s, o in zip(ccs, offs)])
+        self.r_b = np.concatenate([s.r_b + o for s, o in zip(ccs, offs)])
+        self.r_cond = np.concatenate([s.r_g for s in ccs])
 
         # Per-node lookups for rebuilding the flat stamp patterns: the
         # element-local free position, the element's nf and the offset
         # of its Jacobian block in the concatenated flat Jacobian.
-        fp = np.concatenate([s.free_pos for s in sims])
+        fp = np.concatenate([s.free_pos for s in ccs])
         jac_sizes = [nf * nf for nf in nf_list]
         jac_off = np.concatenate(
             ([0], np.cumsum(jac_sizes))).astype(np.int64)
@@ -206,7 +207,7 @@ class _Pack:
         node_nf = np.repeat(np.array(nf_list, dtype=np.int64), n_list)
         node_jac_off = np.repeat(jac_off[:-1], n_list)
 
-        self.jac_res = np.concatenate([s.jac_res for s in sims])
+        self.jac_res = np.concatenate([s.jac_res for s in ccs])
         self.total_flat = self.jac_res.size
 
         band = 0
@@ -261,10 +262,8 @@ class _Pack:
         # candidates are exact zeros), so this is still an independent
         # per-circuit solve, just with banded instead of dense rounding.
         self.band = band
-        self.use_banded = (_lapack is not None
-                           and (solver == "banded"
-                                or (solver == "auto"
-                                    and band <= AUTO_BAND_LIMIT)))
+        self.use_banded = (_lapack is not None and solver == "auto"
+                           and band <= AUTO_BAND_LIMIT)
         if self.use_banded:
             kl = ku = band
             self.kl = kl
@@ -309,9 +308,9 @@ class _Pack:
 
     # -- physics ---------------------------------------------------------
     def _eval(self, v: np.ndarray):
-        """Injected currents + flat block Jacobian, mirroring the scalar
-        ``TransientSimulator._eval`` term by term (same bincount input
-        order, hence the same per-node summation order)."""
+        """Injected currents + flat block Jacobian, stamped in each
+        circuit's own section-major order (same bincount input order as
+        a single circuit, hence the same per-node summation order)."""
         n = self.n_nodes
         inj = np.zeros(n)
         jac = self.jac_res.copy()
@@ -340,9 +339,8 @@ class _Pack:
     def _dense_dv(self, jac, resid, g_ch, dv, failed) -> None:
         """Per-circuit dense solves, grouped by matrix size.
 
-        This is the scalar-oracle-identical path: each block goes
-        through the same LAPACK ``dgesv`` a scalar ``np.linalg.solve``
-        call would use.
+        This is the bit-exact path: each block goes through the same
+        LAPACK ``dgesv`` a single ``np.linalg.solve`` call would use.
         """
         for grp in self.groups:
             nf = grp.nf
@@ -355,7 +353,7 @@ class _Pack:
             except np.linalg.LinAlgError:
                 # Some element's Jacobian is singular: redo the group
                 # element by element so the healthy ones still get
-                # their scalar-identical solution.
+                # their own exact solution.
                 sol = np.empty_like(rhs)
                 for b in range(sol.shape[0]):
                     try:
@@ -389,8 +387,7 @@ class _Pack:
                                np.concatenate([-i_r, i_r]), minlength=n)
         return inj, ab
 
-    def newton(self, v_prev: np.ndarray, src_now: np.ndarray, h: float,
-               max_newton: int, tol: float):
+    def newton(self, v_prev: np.ndarray, src_now: np.ndarray, h: float):
         """One masked backward-Euler step of size ``h`` for every element.
 
         Returns ``(vv, conv, failed, cur, dv)``: the candidate state,
@@ -412,7 +409,7 @@ class _Pack:
         vpf = v_prev[fg]
         n_done = 0
         banded = self.use_banded
-        for _ in range(max_newton):
+        for _ in range(MAX_NEWTON):
             if banded:
                 inj, ab = self._eval_banded(vv)
             else:
@@ -446,10 +443,10 @@ class _Pack:
                 vf += dv
             vv[fg] = vf
             amax = np.maximum.reduceat(np.abs(dv), self.free_starts)
-            newly = (amax < tol) & ~done
+            newly = (amax < NEWTON_TOL) & ~done
             if newly.any():
                 # Current leaving vdd, from this iteration's pre-update
-                # evaluation -- exactly what the scalar loop returns.
+                # evaluation.
                 cur[newly] = pend[newly]
                 conv |= newly
             n_done = int(np.count_nonzero(conv | failed))
@@ -458,13 +455,12 @@ class _Pack:
         return vv, conv, failed, cur, dv
 
 
-class BatchTransientSimulator:
+class _BatchRun:
     """Runs many independent :class:`Circuit` transients in lock step."""
 
-    def __init__(self, circuits: list[Circuit], solver: str = "auto"):
-        self.circuits = list(circuits)
+    def __init__(self, circuits: list[Circuit], solver: str):
         self.solver = solver
-        self.elements = [_Element(i, c) for i, c in enumerate(self.circuits)]
+        self.elements = [_Element(i, c) for i, c in enumerate(circuits)]
         self._single: dict[int, _Pack] = {}
 
     # ------------------------------------------------------------------
@@ -476,8 +472,8 @@ class BatchTransientSimulator:
 
     def _fallback(self, el: _Element, v_prev: np.ndarray,
                   src_prev: np.ndarray, src_now: np.ndarray, step: int,
-                  dt: float, max_newton: int, tol: float):
-        """Scalar-identical 8-substep recovery for one failing element."""
+                  dt: float):
+        """8-substep source-ramping recovery for one failing element."""
         pack = self._single_pack(el)
         n_sub = 8
         h = dt / n_sub
@@ -486,10 +482,9 @@ class BatchTransientSimulator:
         for k in range(1, n_sub + 1):
             frac = k / n_sub
             v_src = src_prev + frac * (src_now - src_prev)
-            vv, conv, failed, cur, dv = pack.newton(
-                v_new, v_src, h, max_newton, tol)
+            vv, conv, failed, cur, dv = pack.newton(v_new, v_src, h)
             if not conv[0]:
-                nodes = el.worst_nodes(dv, tol) if not failed[0] else []
+                nodes = el.worst_nodes(dv) if not failed[0] else []
                 raise NewtonConvergenceError.at_step(
                     time=step * dt, dt=h, nodes=nodes,
                     detail=(f"substep {k}/{n_sub}; singular Jacobian"
@@ -499,16 +494,12 @@ class BatchTransientSimulator:
         return v_new, cur_val
 
     # ------------------------------------------------------------------
-    def run(self, t_ends, dt: float = 1e-12, *,
-            v_inits=None, max_newton: int = 30, tol: float = 1e-4,
-            record_every: int = 1) -> list[TransientResult]:
+    def run(self, t_ends, dt: float) -> list[TransientResult]:
         """Run every circuit from 0 to its ``t_end`` with shared ``dt``.
 
-        ``t_ends`` is a scalar (shared) or one value per circuit;
-        ``v_inits`` likewise a single name->voltage dict or one per
-        circuit.  Returns one :class:`TransientResult` per circuit, in
-        input order, bit-identical to what ``TransientSimulator.run``
-        would produce with the same settings.
+        ``t_ends`` is a scalar (shared) or one value per circuit.
+        Returns one :class:`TransientResult` per circuit, in input
+        order, with every step recorded.
         """
         n = len(self.elements)
         if not n:
@@ -517,31 +508,25 @@ class BatchTransientSimulator:
             t_ends = [float(t_ends)] * n
         if len(t_ends) != n:
             raise ValueError(f"{len(t_ends)} t_ends for {n} circuits")
-        if v_inits is None or isinstance(v_inits, dict):
-            v_inits = [v_inits] * n
-        if len(v_inits) != n:
-            raise ValueError(f"{len(v_inits)} v_inits for {n} circuits")
 
-        for el, t_end, v_init in zip(self.elements, t_ends, v_inits):
-            el.configure(t_end, dt, v_init, record_every)
+        for el, t_end in zip(self.elements, t_ends):
+            el.configure(t_end, dt)
 
         # Sorted by system size so equal-nf elements form contiguous
         # solve groups; ties broken by input order for determinism.
-        ordered = sorted(self.elements, key=lambda e: (e.sim.nf, e.index))
+        ordered = sorted(self.elements, key=lambda e: (e.cc.nf, e.index))
         boundaries = sorted({el.n_steps for el in ordered})
         max_steps = boundaries[-1]
 
         ms = obs.metrics.metric_set()
         ms.publish("sim.batch_size", n)
         with obs.span("sim.batch", circuits=n, steps=max_steps,
-                      nodes=sum(el.sim.n for el in ordered)):
-            self._run_segments(ordered, boundaries, dt, max_newton, tol,
-                               record_every)
+                      nodes=sum(el.cc.n for el in ordered)):
+            self._run_segments(ordered, boundaries, dt)
         return [el.result() for el in self.elements]
 
     # ------------------------------------------------------------------
-    def _run_segments(self, ordered, boundaries, dt, max_newton, tol,
-                      record_every):
+    def _run_segments(self, ordered, boundaries, dt):
         s_prev = 0
         for seg, bound in enumerate(boundaries):
             members = [el for el in ordered if el.n_steps >= bound]
@@ -554,12 +539,11 @@ class BatchTransientSimulator:
             for pos, el in enumerate(members):
                 src[pack.src_sl(pos)] = el.src_wave[:, s_base:bound + 1]
 
-            # Recording buffers: global record row r covers step
-            # r * record_every; rows are contiguous within a segment.
-            rec0 = 0 if seg == 0 else s_prev // record_every + 1
-            n_rec = bound // record_every - rec0 + 1
-            volts_buf = np.empty((max(n_rec, 0), pack.n_nodes))
-            isup_buf = np.empty((max(n_rec, 0), pack.B))
+            # Recording buffers: row r holds absolute step rec0 + r.
+            rec0 = 0 if seg == 0 else s_prev + 1
+            n_rec = bound - rec0 + 1
+            volts_buf = np.empty((n_rec, pack.n_nodes))
+            isup_buf = np.empty((n_rec, pack.B))
 
             if seg == 0:
                 inj0, _ = pack._eval(v_g)
@@ -568,8 +552,7 @@ class BatchTransientSimulator:
 
             for step in range(s_prev + 1, bound + 1):
                 src_now = src[:, step - s_base]
-                vv, conv, failed, cur, dv = pack.newton(
-                    v_g, src_now, dt, max_newton, tol)
+                vv, conv, failed, cur, dv = pack.newton(v_g, src_now, dt)
                 if not conv.all():
                     src_prev = src[:, step - 1 - s_base]
                     for pos in np.nonzero(~conv)[0]:
@@ -578,14 +561,12 @@ class BatchTransientSimulator:
                         ssl = pack.src_sl(pos)
                         v_e, cur_e = self._fallback(
                             el, v_g[sl].copy(), src_prev[ssl],
-                            src_now[ssl], step, dt, max_newton, tol)
+                            src_now[ssl], step, dt)
                         vv[sl] = v_e
                         cur[pos] = cur_e
                 v_g = vv
-                if step % record_every == 0:
-                    row = step // record_every - rec0
-                    volts_buf[row] = v_g
-                    isup_buf[row] = cur
+                volts_buf[step - rec0] = v_g
+                isup_buf[step - rec0] = cur
 
             pack.scatter(v_g)
             for pos, el in enumerate(members):
@@ -595,14 +576,17 @@ class BatchTransientSimulator:
 
 
 def simulate_batch(circuits, t_ends, dt: float = 1e-12,
-                   solver: str = "auto", **kwargs) -> list[TransientResult]:
-    """One-shot convenience wrapper around :class:`BatchTransientSimulator`.
+                   solver: str = "auto") -> list[TransientResult]:
+    """Transient analyses of many independent circuits in one run.
 
-    Drop-in for a loop of :func:`~repro.circuit.simulator.simulate`
-    calls over independent circuits: same per-circuit results, one
-    lock-step tensor run.  ``solver="dense"`` forces the per-circuit
-    grouped solves that are bit-identical to the scalar engine;
-    ``"auto"`` (default) uses the banded stack solve for narrow-band
-    circuits, identical within solver tolerance.
+    ``t_ends`` is one end time shared by every circuit or one per
+    circuit; every circuit starts at 0 V and every step is recorded.
+    Returns one result per circuit, in input order.
+    ``solver="dense"`` forces the per-circuit grouped solves, which are
+    bit-identical to a one-circuit-at-a-time loop; ``"auto"`` (default)
+    uses the banded stack solve for narrow-band circuits, identical
+    within solver tolerance.
     """
-    return BatchTransientSimulator(circuits, solver).run(t_ends, dt, **kwargs)
+    if solver not in ("auto", "dense"):
+        raise ValueError(f"unknown solver {solver!r}")
+    return _BatchRun(circuits, solver).run(t_ends, dt)

@@ -38,10 +38,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .batchsim import simulate_batch
 from .cells import buffer2, inverter, pass_nmos, tristate_inverter_a
 from .metrics import worst_case_delay
 from .network import Circuit
-from .simulator import simulate
 from .technology import Technology, STM018
 from .waveforms import pulse_train
 
@@ -224,26 +224,11 @@ def measure_routing(
     dt: float = 2e-12,
 ) -> RoutingMeasurement:
     """Simulate one sizing point and return (E, D, A)."""
-    ckt, a, out, area = build_routing_experiment(
-        width_mult=width_mult, wire_length=wire_length,
-        metal_width=metal_width, metal_spacing=metal_spacing,
-        n_segments=n_segments, switch_type=switch_type, tech=tech)
-
-    vdd = tech.vdd
-    # One full cycle: rise then fall, each given time to settle.
-    t_half = max(4e-9, wire_length * n_segments * 0.5e-9)
-    wave = pulse_train([(0.2e-9, vdd), (0.2e-9 + t_half, 0.0)],
-                       v_init=0.0)
-    ckt.voltage_source(ckt.node(a), wave)
-    t_end = 0.2e-9 + 2 * t_half
-    res = simulate(ckt, t_end, dt=dt)
-
-    energy = res.energy
-    delay = worst_case_delay(res.time, res.v(a), res.v(out), vdd,
-                             max_delay=t_half)
-    return RoutingMeasurement(width_mult=width_mult,
-                              wire_length=wire_length,
-                              energy=energy, delay=delay, area=area)
+    (row,) = measure_routing_batch(
+        [(width_mult, wire_length)], metal_width=metal_width,
+        metal_spacing=metal_spacing, n_segments=n_segments,
+        switch_type=switch_type, tech=tech, dt=dt)
+    return row
 
 
 def measure_routing_batch(
@@ -258,8 +243,9 @@ def measure_routing_batch(
 ) -> list[RoutingMeasurement]:
     """Simulate many ``(width_mult, wire_length)`` sizing points at once.
 
-    Builds the same circuits and stimulus as :func:`measure_routing`
-    but runs them through the batched transient engine in a single
+    Each point's Fig. 7 circuit is driven through one full output
+    cycle (a rise, then a fall, each given time to settle), and all of
+    them run through the batched transient engine in a single
     tensor-shaped pass; rows come back in the order of ``points``.
 
     A point may also carry its own metal geometry as a 4-tuple
@@ -268,8 +254,6 @@ def measure_routing_batch(
     study (Figs. 8-10 differ only in metal pitch) can run as one
     batch.
     """
-    from .batchsim import simulate_batch
-
     vdd = tech.vdd
     ckts = []
     t_ends = []
@@ -313,17 +297,17 @@ def sweep_pass_transistor(
     tech: Technology = STM018,
     dt: float = 2e-12,
 ) -> dict[int, list[RoutingMeasurement]]:
-    """Full Fig. 8/9/10-style sweep: EDA vs width for each wire length."""
-    out: dict[int, list[RoutingMeasurement]] = {}
-    for length in wire_lengths:
-        out[length] = [
-            measure_routing(width_mult=w, wire_length=length,
-                            metal_width=metal_width,
-                            metal_spacing=metal_spacing,
-                            switch_type=switch_type, tech=tech, dt=dt)
-            for w in widths
-        ]
-    return out
+    """Full Fig. 8/9/10-style sweep: EDA vs width for each wire length.
+
+    The whole grid runs as one batch; rows come back grouped by wire
+    length with widths in the order given.
+    """
+    rows = iter(measure_routing_batch(
+        [(w, length) for length in wire_lengths for w in widths],
+        metal_width=metal_width, metal_spacing=metal_spacing,
+        switch_type=switch_type, tech=tech, dt=dt))
+    return {length: [next(rows) for _ in widths]
+            for length in wire_lengths}
 
 
 def optimum_width(measurements: list[RoutingMeasurement]) -> float:

@@ -1,4 +1,4 @@
-"""Transient nodal simulator (the Cadence substitute).
+"""Transient nodal simulation (the Cadence substitute): model and entry.
 
 Backward-Euler integration with full Newton iteration at every timestep
 over a square-law MOSFET model.  The formulation is standard nodal
@@ -6,13 +6,13 @@ analysis restricted to circuits whose every node carries a capacitance
 to ground (the compiler adds a small floor capacitance), which keeps the
 system matrix well-conditioned without needing charge-based MNA.
 
-Per-step work is fully vectorised following the HPC guides: all MOSFETs
-are evaluated in one NumPy pass (symmetric D/S handling, so pass
-transistors and transmission gates need no special casing), and because
-the Jacobian *sparsity pattern* is static, stamps are accumulated with a
-single ``np.bincount`` over precomputed flat indices instead of per-stamp
-scatter.  Node counts in the paper's experiments are tiny (tens of
-nodes), so dense linear solves are cheap and the step loop dominates.
+This module holds what defines a transient: the device model
+(:func:`mos_currents`, all MOSFETs in one NumPy pass with symmetric D/S
+handling, so pass transistors and transmission gates need no special
+casing), the circuit compiler (:class:`CompiledCircuit`), the result
+type and the convergence errors.  The step loop itself is the batched
+engine in :mod:`repro.circuit.batchsim`; :func:`simulate` runs one
+circuit through it as a batch of one.
 
 Energy accounting follows the paper: the reported quantity is the energy
 delivered by the ``vdd`` supply, ``E = Vdd * integral(i_vdd dt)``.
@@ -41,12 +41,11 @@ def mos_currents(v: np.ndarray, m_d: np.ndarray, m_g: np.ndarray,
                  m_ioff: np.ndarray):
     """Vectorised square-law MOSFET evaluation at node voltages ``v``.
 
-    Shared by the scalar and the batched engine so the device model has
-    exactly one definition; the terminal-index arrays may address one
-    circuit or a block-diagonal stack of many.  Returns ``(i_ds, g_d,
-    g_g, g_s)`` where ``i_ds`` is the signed channel current from drain
-    to source and ``g_*`` its partial derivatives w.r.t. the
-    drain/gate/source node voltages.
+    The device model's one definition; the terminal-index arrays may
+    address one circuit or a block-diagonal stack of many.  Returns
+    ``(i_ds, g_d, g_g, g_s)`` where ``i_ds`` is the signed channel
+    current from drain to source and ``g_*`` its partial derivatives
+    w.r.t. the drain/gate/source node voltages.
     """
     vd = v[m_d]
     vs = v[m_s]
@@ -171,16 +170,19 @@ class NewtonConvergenceError(ConvergenceError):
         return cls(msg, nodes=nodes, time=time, dt=dt)
 
 
-class TransientSimulator:
-    """Compiles a :class:`Circuit` and runs backward-Euler transients."""
+class CompiledCircuit:
+    """A :class:`Circuit` lowered to the arrays the transient engine reads.
+
+    Node ``i`` is free unless a voltage source fixes it; ``free`` lists
+    the free nodes and ``free_pos`` maps a node to its position among
+    them (-1 if fixed).  ``cap`` is each node's lumped capacitance, the
+    ``m_*`` and ``r_*`` arrays describe the MOSFETs and resistors, and
+    ``jac_res`` is the constant resistor part of the flat ``nf x nf``
+    residual Jacobian.
+    """
 
     def __init__(self, circuit: Circuit):
-        self.circuit = circuit
-        self._compile()
-
-    # ------------------------------------------------------------------
-    def _compile(self) -> None:
-        ckt = self.circuit
+        ckt = circuit
         tech = ckt.tech
         n = ckt.n_nodes
         self.n = n
@@ -188,7 +190,6 @@ class TransientSimulator:
         fixed = np.zeros(n, dtype=bool)
         for idx in ckt.sources:
             fixed[idx] = True
-        self.fixed = fixed
         self.free = np.where(~fixed)[0]
         nf = self.free.size
         self.nf = nf
@@ -217,7 +218,6 @@ class TransientSimulator:
         self.m_vt = np.where(self.m_p, abs(tech.vt_p), tech.vt_n)
         self.m_lam = np.where(self.m_p, tech.lambda_p, tech.lambda_n)
         self.m_ioff = np.array([tech.i_off_per_m * m.w for m in ms])
-        self.n_mos = nm = len(ms)
 
         # Resistor arrays.
         rs = ckt.resistors
@@ -225,198 +225,28 @@ class TransientSimulator:
         self.r_b = np.array([r.b for r in rs], dtype=np.int64)
         self.r_g = np.array([1.0 / r.r for r in rs])
 
-        # --- static stamp patterns (flat indices into the nf x nf dense
-        # Jacobian), computed once so the Newton loop only does bincount.
-        def flat_pattern(rows: np.ndarray, cols: np.ndarray):
-            rp = self.free_pos[rows]
-            cp = self.free_pos[cols]
-            ok = (rp >= 0) & (cp >= 0)
-            return (rp * nf + cp)[ok], ok
-
-        if nm:
-            # Stamps for d(inj)/dv: rows d,d,d,s,s,s; cols d,g,s x2.
-            rows = np.concatenate([self.m_d] * 3 + [self.m_s] * 3)
-            cols = np.concatenate(
-                [self.m_d, self.m_g, self.m_s] * 2)
-            self.mos_flat, self.mos_ok = flat_pattern(rows, cols)
-        else:
-            self.mos_flat = np.empty(0, dtype=np.int64)
-            self.mos_ok = np.empty(0, dtype=bool)
-
         # Resistor Jacobian contribution is constant: build it once.
         self.jac_res = np.zeros(nf * nf)
         if self.r_a.size:
             rows = np.concatenate([self.r_a, self.r_a, self.r_b, self.r_b])
             cols = np.concatenate([self.r_a, self.r_b, self.r_b, self.r_a])
             vals = np.concatenate([-self.r_g, self.r_g, -self.r_g, self.r_g])
-            flat, ok = flat_pattern(rows, cols)
+            rp = self.free_pos[rows]
+            cp = self.free_pos[cols]
+            ok = (rp >= 0) & (cp >= 0)
             # d(resid)/dv = -d(inj)/dv
-            np.add.at(self.jac_res, flat, -vals[ok])
-
-        # Injection accumulation patterns (bincount over full node count).
-        if nm:
-            self.inj_mos_idx = np.concatenate([self.m_d, self.m_s])
-        if self.r_a.size:
-            self.inj_res_idx = np.concatenate([self.r_a, self.r_b])
+            np.add.at(self.jac_res, (rp * nf + cp)[ok], -vals[ok])
 
         self.vdd_idx = ckt.vdd
-        self.vdd = tech.vdd
-
-    # ------------------------------------------------------------------
-    def _mos_eval(self, v: np.ndarray):
-        """Vectorised MOSFET evaluation at node voltages ``v``.
-
-        Returns ``(i_ds, g_d, g_g, g_s)`` where ``i_ds`` is the signed
-        channel current from drain to source and ``g_*`` its partial
-        derivatives w.r.t. the drain/gate/source node voltages.
-        """
-        return mos_currents(v, self.m_d, self.m_g, self.m_s, self.m_p,
-                            self.m_beta, self.m_vt, self.m_lam,
-                            self.m_ioff)
-
-    # ------------------------------------------------------------------
-    def _eval(self, v: np.ndarray):
-        """Injected node currents and the dense Jacobian of the residual."""
-        n = self.n
-        nf = self.nf
-        inj = np.zeros(n)
-
-        jac = self.jac_res.copy()
-        if self.n_mos:
-            i_ds, g_d, g_g, g_s = self._mos_eval(v)
-            inj += np.bincount(self.inj_mos_idx,
-                               np.concatenate([-i_ds, i_ds]), minlength=n)
-            # Residual Jacobian stamps: resid = ... - inj, and
-            # inj[d] -= i_ds, inj[s] += i_ds, so row d gets +g_* and
-            # row s gets -g_* (cols d, g, s).
-            vals = np.concatenate([g_d, g_g, g_s, -g_d, -g_g, -g_s])
-            jac += np.bincount(self.mos_flat, vals[self.mos_ok],
-                               minlength=nf * nf)
-        if self.r_a.size:
-            i_r = self.r_g * (v[self.r_a] - v[self.r_b])
-            inj += np.bincount(self.inj_res_idx,
-                               np.concatenate([-i_r, i_r]), minlength=n)
-        return inj, jac.reshape(nf, nf)
-
-    # ------------------------------------------------------------------
-    def run(self, t_end: float, dt: float = 1e-12, *,
-            v_init: dict[str, float] | None = None,
-            max_newton: int = 30, tol: float = 1e-4,
-            record_every: int = 1) -> TransientResult:
-        """Run a transient analysis from 0 to ``t_end`` with step ``dt``.
-
-        ``v_init`` optionally seeds initial node voltages by name (the
-        default is 0 V everywhere except sources).  ``record_every``
-        thins the stored waveforms to every k-th step.
-        """
-        ckt = self.circuit
-        n = self.n
-        n_steps = int(round(t_end / dt))
-        times = np.arange(n_steps + 1) * dt
-
-        src_idx = np.array(sorted(ckt.sources), dtype=np.int64)
-        src_wave = np.empty((src_idx.size, n_steps + 1))
-        for k, idx in enumerate(src_idx):
-            src_wave[k] = ckt.sources[idx].sample(times)
-
-        v = np.zeros(n)
-        if v_init:
-            for name, val in v_init.items():
-                v[ckt.node(name)] = val
-        v[src_idx] = src_wave[:, 0]
-
-        free = self.free
-        nf = self.nf
-        cap_free = self.cap[free]
-        diag = np.arange(nf)
-
-        rec_idx = list(range(0, n_steps + 1, record_every))
-        volts = np.empty((len(rec_idx), n))
-        i_sup = np.empty(len(rec_idx))
-        rec_i = 0
-
-        vdd_idx = self.vdd_idx
-
-        def worst_nodes(dv: np.ndarray | None) -> list[str]:
-            """Names of the free nodes furthest from convergence."""
-            if dv is None or not dv.size:
-                return []
-            order = np.argsort(-np.abs(dv))[:3]
-            return [ckt.node_name(free[i]) for i in order
-                    if abs(dv[i]) >= tol]
-
-        def newton_step(v_prev: np.ndarray, v_src: np.ndarray,
-                        h: float):
-            """One backward-Euler step of size ``h``.
-
-            Returns ``(v_new, supply_current)``, or on Newton failure
-            ``(None, diagnostic)`` where the diagnostic is the list of
-            offending node names (empty for a singular Jacobian).
-            """
-            g_ch = cap_free / h
-            vv = v_prev.copy()
-            vv[src_idx] = v_src
-            dv = None
-            for _ in range(max_newton):
-                inj, jac = self._eval(vv)
-                resid = g_ch * (vv[free] - v_prev[free]) - inj[free]
-                jac = jac.copy()
-                jac[diag, diag] += g_ch
-                try:
-                    dv = np.linalg.solve(jac, -resid)
-                except np.linalg.LinAlgError:
-                    return None, []
-                np.clip(dv, -0.6, 0.6, out=dv)
-                vv[free] += dv
-                if np.abs(dv).max() < tol:
-                    # Current leaving the vdd node = -inj[vdd].
-                    return vv, -inj[vdd_idx]
-            return None, worst_nodes(dv)
-
-        # Record initial point.
-        inj0, _ = self._eval(v)
-        if rec_idx and rec_idx[0] == 0:
-            volts[0] = v
-            i_sup[0] = -inj0[vdd_idx]
-            rec_i = 1
-
-        for step in range(1, n_steps + 1):
-            src_prev = src_wave[:, step - 1]
-            src_now = src_wave[:, step]
-            v_new, cur = newton_step(v, src_now, dt)
-            if v_new is None:
-                # Substep through a stiff switching instant; sources are
-                # linearly interpolated inside the step.
-                n_sub = 8
-                v_new = v
-                for k in range(1, n_sub + 1):
-                    frac = k / n_sub
-                    v_src = src_prev + frac * (src_now - src_prev)
-                    v_new, cur = newton_step(v_new, v_src, dt / n_sub)
-                    if v_new is None:
-                        raise NewtonConvergenceError.at_step(
-                            time=step * dt, dt=dt / n_sub,
-                            nodes=cur,
-                            detail=(f"substep {k}/{n_sub}; singular "
-                                    f"Jacobian" if not cur else
-                                    f"substep {k}/{n_sub}"))
-            v = v_new
-
-            if step % record_every == 0:
-                volts[rec_i] = v
-                i_sup[rec_i] = cur
-                rec_i += 1
-
-        return TransientResult(
-            time=times[::record_every][:rec_i],
-            voltages=volts[:rec_i],
-            supply_current=i_sup[:rec_i],
-            node_names=ckt.names(),
-            vdd=self.vdd,
-        )
 
 
-def simulate(circuit: Circuit, t_end: float, dt: float = 1e-12,
-             **kwargs) -> TransientResult:
-    """One-shot convenience wrapper around :class:`TransientSimulator`."""
-    return TransientSimulator(circuit).run(t_end, dt, **kwargs)
+def simulate(circuit: Circuit, t_end: float,
+             dt: float = 1e-12) -> TransientResult:
+    """Transient analysis of one circuit from 0 to ``t_end``.
+
+    A batch of one through :func:`~repro.circuit.batchsim.simulate_batch`
+    with its dense per-circuit solve, so the waveforms are the ones
+    that circuit gets inside any dense batch.
+    """
+    from .batchsim import simulate_batch
+    return simulate_batch([circuit], t_end, dt, solver="dense")[0]

@@ -2,13 +2,16 @@
 
 Each case seeds a random multi-level logic network, pushes it through
 the *entire* flow -- technology mapping, packing, placement, routing,
-bitstream generation -- then checks THREE independent oracles against
-a logic-level simulation of the ORIGINAL source network:
+bitstream generation -- then checks THREE oracles against a
+logic-level simulation of the ORIGINAL source network:
 
-1. the device simulator booted from nothing but the unpacked
-   bitstream (interprets the configuration cycle by cycle);
-2. the disassembler's recovered netlist, simulated at logic level
-   (lifts the configuration back to a LogicNetwork first);
+1. the switch-box flood decoder of :mod:`tests.oracles.devicesim`,
+   booted from nothing but the unpacked bitstream -- the independent
+   decoder, which interprets the configuration cycle by cycle with
+   code of its own;
+2. the product's chipdb decoder, both as the device simulator booted
+   from the bitstream and as the disassembler's recovered netlist
+   simulated at logic level (the device simulator runs that netlist);
 3. byte-exact ``unpack -> repack`` of the bitstream itself.
 
 Any divergence pins a bug somewhere between synthesis and
@@ -31,6 +34,7 @@ from repro.bitgen import disassemble, pack_bitstream, unpack_bitstream
 from repro.bitgen.devicesim import (DeviceSimulator,
                                     pad_map_from_placement)
 from repro.flow.flow import FlowOptions, run_flow_from_logic
+from tests.oracles.devicesim import FloodDeviceSimulator
 
 N_CASES = 20
 
@@ -47,6 +51,14 @@ def _case_params(seed: int) -> dict:
     }
 
 
+def _assert_traces_match(got, want, what: str, seed: int,
+                         params: dict) -> None:
+    assert got == want, (
+        f"{what} diverges from source network for seed {seed} "
+        f"({params}): first mismatch at cycle "
+        f"{next(i for i, (g, w) in enumerate(zip(got, want)) if g != w)}")
+
+
 def _run_case(seed: int) -> None:
     params = _case_params(seed)
     net = random_logic(f"fuzz{seed}", seed=seed, **params)
@@ -55,28 +67,23 @@ def _run_case(seed: int) -> None:
                          use_cache=False))
     assert res.routing is not None and res.routing.success
 
-    # Oracle 1: boot the device from the bitstream alone.
+    # Oracle 1: boot the flood decoder from the bitstream alone.
     cfg = unpack_bitstream(res.bitstream, res.placement.arch)
-    dev = DeviceSimulator(cfg, pad_map_from_placement(res.placement))
-
+    pad_map = pad_map_from_placement(res.placement)
     rng = random.Random(1000 + seed)
     vecs = [{pi: rng.randint(0, 1) for pi in net.inputs}
             for _ in range(12)]
-    got = dev.run(vecs)
     want = net.simulate(vecs)
-    assert got == want, (
-        f"device diverges from source network for seed {seed} "
-        f"({params}): first mismatch at cycle "
-        f"{next(i for i, (g, w) in enumerate(zip(got, want)) if g != w)}")
+    _assert_traces_match(FloodDeviceSimulator(cfg, pad_map).run(vecs),
+                         want, "flood decoder", seed, params)
 
-    # Oracle 2: disassemble the bitstream to a netlist and simulate it.
-    dis = disassemble(res.bitstream, res.placement.arch,
-                      pad_map=pad_map_from_placement(res.placement))
-    recovered = dis.network.simulate(vecs)
-    assert recovered == want, (
-        f"disassembled netlist diverges from source network for seed "
-        f"{seed} ({params}): first mismatch at cycle "
-        f"{next(i for i, (g, w) in enumerate(zip(recovered, want)) if g != w)}")
+    # Oracle 2: the product decoder -- the device booted from the
+    # bitstream, then the disassembled netlist simulated directly.
+    _assert_traces_match(DeviceSimulator(cfg, pad_map).run(vecs), want,
+                         "device", seed, params)
+    dis = disassemble(res.bitstream, res.placement.arch, pad_map=pad_map)
+    _assert_traces_match(dis.network.simulate(vecs), want,
+                         "disassembled netlist", seed, params)
 
     # Oracle 3: unpack -> repack must be byte-for-byte lossless.
     assert pack_bitstream(cfg) == res.bitstream, (

@@ -12,11 +12,12 @@ cold one recomputes everything (which is the point: cached and fresh
 values must be the same numbers).
 
 The drivers run the batched tensor engine.  The goldens were recorded
-with the scalar engine; the batched engine matching them within RTOL
-is itself part of the equivalence contract, so no re-goldening was
-needed.  Table 2 also keeps a scalar-oracle arm: its three clock
-configurations run one :func:`~repro.circuit.simulate` each and must
-hit the same goldens.
+with the one-circuit-at-a-time reference loop
+(:mod:`tests.oracles.transient`); the batched engine matching them
+within RTOL is itself part of the equivalence contract, so no
+re-goldening was needed.  Table 2 also keeps a scalar-oracle arm: its
+three clock configurations run through that reference loop one at a
+time and must hit the same goldens.
 """
 
 import json
@@ -25,11 +26,12 @@ from pathlib import Path
 
 import pytest
 
-from repro.circuit import experiments, simulate
+from repro.circuit import experiments
 from repro.circuit.experiments import (_run_fig_sweep, _run_table1,
                                        _run_table2, _run_table3,
                                        gated_clock_breakeven)
 from repro.exp import NullCache, ParallelRunner
+from tests.oracles import transient
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "benchmarks" / "results"
 
@@ -74,8 +76,10 @@ def test_table1_matches_golden():
 
 
 def _simulate_each(circuits, t_ends, *, dt):
-    """Drop-in for ``simulate_batch``: one scalar transient per circuit."""
-    return [simulate(c, t, dt=dt) for c, t in zip(circuits, t_ends)]
+    """Drop-in for ``simulate_batch``: one reference transient per
+    circuit."""
+    return [transient.simulate(c, t, dt=dt)
+            for c, t in zip(circuits, t_ends)]
 
 
 @pytest.mark.parametrize("engine", ["batched", "scalar"])

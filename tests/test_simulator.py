@@ -10,7 +10,7 @@ from repro.circuit.cells import (inverter, inverter_chain, lut4, mux2_tg,
 from repro.circuit.metrics import (crossing_times, logic_level,
                                    propagation_delays, worst_case_delay)
 from repro.circuit.network import Circuit
-from repro.circuit.simulator import TransientSimulator, simulate
+from repro.circuit.simulator import simulate
 from repro.circuit.waveforms import clock, dc, pulse_train
 
 VDD = 1.8

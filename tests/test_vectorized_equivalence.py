@@ -1,14 +1,14 @@
 """Differential tests: vectorized hot paths vs their reference oracles.
 
 The product ships one implementation per hot path.  The references
-they were derived from live in :mod:`tests.oracles` (placement and
-routing) or stay public (the scalar :func:`repro.circuit.simulate`).
-This suite pins the equivalence contract:
+they were derived from live in :mod:`tests.oracles`.  This suite pins
+the equivalence contract:
 
-* transients -- batched waveforms match the scalar simulator within
-  the Newton solver tolerance on arbitrary RC / pass-transistor
-  circuits (hypothesis-generated), and bit-for-bit when the batch
-  engine uses its dense solver;
+* transients -- batched waveforms match the one-circuit-at-a-time
+  reference loop (:mod:`tests.oracles.transient`) within the Newton
+  solver tolerance on arbitrary RC / pass-transistor circuits
+  (hypothesis-generated), and bit-for-bit when the batch engine uses
+  its dense solver, which :func:`repro.circuit.simulate` always does;
 * placement and routing -- with the oracle swapped in for the
   incremental cost model / router (``monkeypatch`` on the module
   attribute), the product entrypoints reproduce the same results
@@ -34,6 +34,8 @@ from repro.bench import counter, random_logic
 from repro.circuit import (Circuit, NewtonConvergenceError, STM018,
                            simulate, simulate_batch)
 from repro.circuit.cells import inverter, pass_nmos
+from repro.circuit.clockgate import build_ble_clock
+from repro.circuit.experiments import _detff_circuit
 from repro.circuit.waveforms import pulse_train
 from repro.exp import JobSpec, NullCache, ParallelRunner
 from repro.exp.tasks import task
@@ -43,13 +45,14 @@ from repro.place import place, placer
 from repro.place.placer import wirelength_cost
 from repro.route import route, route_min_channel_width, router
 from repro.synth import optimize_and_map
+from tests.oracles import transient
 from tests.oracles.place import ScalarCost
 from tests.oracles.route import route_all
 
 VDD = STM018.vdd
 
-#: The Newton convergence tolerance of both engines (V); the batched
-#: banded solve may deviate from the scalar dense solve by machine
+#: The Newton convergence tolerance of both loops (V); the batched
+#: banded solve may deviate from the reference's dense solve by machine
 #: epsilon only, so matching within solver tolerance is a loose bound.
 SOLVER_TOL = 1e-4
 
@@ -112,7 +115,8 @@ def _pass_circuit(params):
 
 
 def _assert_within_tol(ckts, t_ends, dt=2e-12):
-    scalar = [simulate(c, t, dt=dt) for c, t in zip(ckts, t_ends)]
+    scalar = [transient.simulate(c, t, dt=dt)
+              for c, t in zip(ckts, t_ends)]
     batched = simulate_batch(ckts, t_ends, dt=dt)
     for rs, rb in zip(scalar, batched):
         assert np.array_equal(rs.time, rb.time)
@@ -140,19 +144,29 @@ class TestTransientEquivalence:
         _assert_within_tol(list(ckts), list(t_ends))
 
     def test_dense_solver_is_bit_identical(self):
-        """solver="dense" reproduces the scalar engine bit-for-bit."""
+        """solver="dense", and so simulate(), reproduces the reference
+        loop bit-for-bit: on narrow-band circuits (an RC ladder, a pass
+        chain) and wide-band ones (a DETFF under the Fig. 4 stimulus,
+        the gated BLE clock)."""
+        ble = build_ble_clock(gated=True, enable=1)
         ckts, t_ends = zip(*[
             _rc_circuit(([5, 20], [30, 80], 150)),
             _pass_circuit(([2, 6], 25)),
+            _detff_circuit("chung1", STM018),
+            (ble.circuit, ble.t_sim),
         ])
-        scalar = [simulate(c, t, dt=2e-12)
+        scalar = [transient.simulate(c, t, dt=2e-12)
                   for c, t in zip(ckts, t_ends)]
+        single = [simulate(c, t, dt=2e-12) for c, t in zip(ckts, t_ends)]
         batched = simulate_batch(list(ckts), list(t_ends), dt=2e-12,
                                  solver="dense")
-        for rs, rb in zip(scalar, batched):
-            assert np.array_equal(rs.time, rb.time)
-            assert np.array_equal(rs.voltages, rb.voltages)
-            assert np.array_equal(rs.supply_current, rb.supply_current)
+        for rs, r1, rb in zip(scalar, single, batched):
+            for r in (r1, rb):
+                assert np.array_equal(rs.time, r.time)
+                assert rs.node_names == r.node_names
+                assert np.array_equal(rs.voltages, r.voltages)
+                assert np.array_equal(rs.supply_current,
+                                      r.supply_current)
 
     def test_heterogeneous_batch_time_axes(self):
         """Mixed step counts repack correctly mid-batch."""
