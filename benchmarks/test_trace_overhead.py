@@ -16,9 +16,9 @@ drift cancels, and compares the per-arm minima (the standard low-noise
 estimator: the minimum is the run least disturbed by the machine).
 
 The same budget applies to the live telemetry bus (``repro.obs.live``):
-a persistent-pool sweep with worker heartbeat/span/metric streaming and
-the parent hub enabled must stay within 5% of the identical sweep with
-``REPRO_TELEMETRY`` unset.
+a persistent-pool sweep whose workers stream heartbeats, spans and
+metric deltas over their job pipes into the parent hub must stay
+within 5% of the identical sweep with ``REPRO_TELEMETRY`` unset.
 """
 
 import os
@@ -85,9 +85,10 @@ def test_trace_overhead_under_five_percent():
 
 def test_live_streaming_overhead_under_five_percent(tmp_path):
     # A pooled sweep of compute-bound selftest jobs, sized so each arm
-    # takes a second or two.  Enablement is re-resolved per dispatched
-    # job from the forwarded environment, so one warm pool serves both
-    # arms and worker start-up cost cancels out.
+    # takes a second or two.  Enablement rides each dispatch's worker
+    # settings (the parent's hub decides whether its workers report),
+    # so one warm pool serves both arms and worker start-up cost
+    # cancels out.
     specs = [JobSpec(kind="selftest",
                      params={"x": float(i), "array_len": 1_500_000})
              for i in range(60)]

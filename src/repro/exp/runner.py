@@ -26,7 +26,10 @@ source (``_JobSource``) as they arrive.  :meth:`ParallelRunner.run`
 feeds it a batch's uncached specs; the job server (:mod:`repro.serve`)
 feeds it its tenant queue, on a pool it owns, so every service job
 runs in a worker under the same deadlines and crash supervision.  Both
-names are internal to the engine and the job server.
+names are internal to the engine and the job server.  Each names the
+live telemetry hub (:mod:`repro.obs.live`) that the scheduler folds
+its workers' spans, heartbeats and metric deltas into: ``run`` the
+session hub, the job server its own.
 
 Checkpointing
 -------------
@@ -147,20 +150,23 @@ class _WorkerSettings:
 
     trace_enabled: bool = True
     env: dict[str, str] | None = None
-    #: Send each span open/close over the pipe while the job runs
-    #: (:attr:`_JobSource.live_spans`).
+    #: Send each span open/close over the pipe while the job runs: the
+    #: parent listens (:attr:`_JobSource.live_spans`, or a live hub).
     live_spans: bool = False
+    #: Beat, and send metric deltas, at this period while the job
+    #: runs; ``None`` while the live telemetry bus is off.
+    heartbeat_s: float | None = None
 
     #: Environment knobs snapshotted into every worker.
-    FORWARDED = (obs.ENV_TRACE, obs.ENV_RUN_DB, "REPRO_CACHE_DIR",
-                 obs.live.ENV_TELEMETRY, obs.live.ENV_HB_INTERVAL)
+    FORWARDED = (obs.ENV_TRACE, obs.ENV_RUN_DB, "REPRO_CACHE_DIR")
 
     @classmethod
-    def snapshot(cls, *, live_spans: bool = False) -> "_WorkerSettings":
+    def snapshot(cls, *, live_spans: bool = False,
+                 heartbeat_s: float | None = None) -> "_WorkerSettings":
         return cls(trace_enabled=obs.enabled(),
                    env={k: os.environ[k] for k in cls.FORWARDED
                         if k in os.environ},
-                   live_spans=live_spans)
+                   live_spans=live_spans, heartbeat_s=heartbeat_s)
 
     def apply(self) -> None:
         """Make the worker's state match the snapshot exactly.
@@ -358,13 +364,14 @@ class ParallelRunner:
                                       for i in pending))
                     if inline:
                         for i in pending:
-                            results[i] = self._run_inline(specs[i],
-                                                          keys[i])
+                            results[i] = self._run_inline(
+                                specs[i], keys[i], hub)
                     else:
                         from .pool import get_pool
                         self._serve(_Batch(specs, keys, results, pending,
                                            self.cache),
-                                    get_pool(self.jobs, self.start_method))
+                                    get_pool(self.jobs, self.start_method),
+                                    hub, heartbeats=hub is not None)
             finally:
                 if hub is not None:
                     hub.batch_finished()
@@ -403,8 +410,7 @@ class ParallelRunner:
         return self.backoff_s * (2 ** (failed_attempt - 1))
 
     # -- inline path (serial, no timeouts) ------------------------------
-    def _run_inline(self, spec: JobSpec, key: str) -> JobResult:
-        hub = obs.live.session_hub()
+    def _run_inline(self, spec: JobSpec, key: str, hub) -> JobResult:
         attempt = 0
         while True:
             attempt += 1
@@ -427,7 +433,8 @@ class ParallelRunner:
                          seconds=seconds, error=err, attempts=attempt)
 
     # -- pooled path (warm workers, one job per dispatch) ---------------
-    def _serve(self, source: _JobSource, pl) -> None:
+    def _serve(self, source: _JobSource, pl, hub=None, *,
+               heartbeats: bool = False) -> None:
         """The pooled scheduler: run jobs from ``source`` on the warm
         pool ``pl`` (a :class:`~repro.exp.pool.PersistentPool`) as they
         arrive.
@@ -441,21 +448,27 @@ class ParallelRunner:
         source's ``wake`` connection, and returns once the source has
         closed and every job taken from it has finished.  The caller
         owns ``pl``.
+
+        ``hub`` (a :class:`~repro.obs.live.TelemetryHub`) gets the job
+        lifecycle and every span the running jobs open or close.  With
+        ``heartbeats`` the workers also beat and send metric deltas at
+        the hub's period, and a worker whose beats stop mid-job raises
+        the ``exp.pool.stalled`` gauge.
         """
         from multiprocessing.connection import wait as conn_wait
         from . import pool as pool_mod
 
         ms = obs.metrics.metric_set()
         spawned_before = pool_mod.spawn_count()
-        settings = _WorkerSettings.snapshot(live_spans=source.live_spans)
+        heartbeat_s = hub.hb_interval_s if heartbeats else None
+        settings = _WorkerSettings.snapshot(
+            live_spans=source.live_spans or hub is not None,
+            heartbeat_s=heartbeat_s)
         #: retry attempts (and jobs a dead worker never received), each
         #: due at its ``ready_at``; they go before new jobs.
         retry: deque[_Pending] = deque()
         ms.gauge("exp.pool.workers", len(pl.workers))
-        hub = obs.live.session_hub()
         stalled_prev: list[int] | None = None
-        if hub is not None:
-            hub.attach(pl.telemetry)
 
         def next_job(now: float) -> _Pending | None:
             for p in retry:
@@ -506,18 +519,21 @@ class ParallelRunner:
                 hub.forget_worker(w.proc.pid)
 
         def on_message(w, msg) -> None:
-            if msg[0] == "ack":
+            op = msg[0]
+            if op == "ack":
                 ms.dist("exp.pool.dispatch_s",
                         max(0.0, msg[1] - w.sent_at))
                 w.started_at = msg[1]
-                return
-            if msg[0] == "span":
-                source.span(w.inflight, w.proc.pid, *msg[1:])
-                return
-            _, value, seconds, err, spans, metric_rows = msg
-            item, w.inflight = w.inflight, None
-            w.served += 1
-            finalize(item, value, seconds, err, spans, metric_rows)
+            elif op == "res":
+                _, value, seconds, err, spans, metric_rows = msg
+                item, w.inflight = w.inflight, None
+                w.served += 1
+                finalize(item, value, seconds, err, spans, metric_rows)
+            else:               # span, hb, mrows: live telemetry
+                if op == "span":
+                    source.span(w.inflight, *msg[1:])
+                if hub is not None:
+                    hub.record_event(msg)
 
         def drain(w) -> None:
             """Handle every message the worker has sent so far."""
@@ -561,11 +577,11 @@ class ParallelRunner:
             waits += [p.ready_at - now for p in retry
                       if free or p.ready_at > now]
             timeout = max(0.0, min(waits)) if waits else None
-            if hub is not None:
+            if heartbeat_s is not None:
                 # Wake at heartbeat granularity so a hung worker is
                 # noticed (and the stalled gauge raised) well before
                 # any job timeout fires -- or when there is none.
-                cap = 2.0 * hub.hb_interval_s
+                cap = 2.0 * heartbeat_s
                 timeout = cap if timeout is None else min(timeout, cap)
             conns = [w.conn for w in busy]
             if source.wake is not None:
@@ -587,7 +603,7 @@ class ParallelRunner:
                 d = deadline(w)
                 if d is not None and d <= now:
                     fail(w, "timeout")
-            if hub is not None:
+            if heartbeat_s is not None:
                 stalled = hub.stalled_pids()
                 if stalled != stalled_prev:
                     ms.gauge("exp.pool.stalled", len(stalled))

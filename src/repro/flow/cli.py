@@ -19,7 +19,6 @@ standalone program as well as part of a complete design framework":
     repro-flow trace     run.jsonl [--format chrome -o run.json]
     repro-flow stats     run.jsonl     (per-stage aggregate table)
     repro-flow top       [--once] [--json]   (live view of a sweep)
-    repro-flow serve-metrics [--port 9464]   (Prometheus endpoint)
     repro-flow history   [--metric flow.fmax_MHz]  (recorded runs)
     repro-flow compare   [RUN_A RUN_B | --against-golden]
     repro-flow report    [--html qor.html]  (sparkline dashboard)
@@ -47,8 +46,9 @@ trace-event JSON for https://ui.perfetto.dev).
 With ``--live`` (or ``REPRO_TELEMETRY=1``) the same three commands
 publish the live telemetry bus (:mod:`repro.obs.live`) while they run:
 ``repro-flow top`` in another terminal shows queue depth, per-worker
-jobs/ages and throughput of the in-flight sweep, and ``repro-flow
-serve-metrics`` exposes it as a Prometheus scrape endpoint.
+jobs/ages and throughput of the in-flight sweep.  For a Prometheus
+scrape, submit the work to ``repro-flow serve`` and scrape its ``GET
+/metrics``.
 
 The same three commands append every successful run's full metric set
 to the run DB (``--run-db``, ``$REPRO_RUN_DB`` or
@@ -114,7 +114,7 @@ def _add_live_arg(p) -> None:
     p.add_argument("--live", action="store_true",
                    help="publish live telemetry while running (same as "
                         "REPRO_TELEMETRY=1); observe with 'repro-flow "
-                        "top' / 'serve-metrics' from another terminal")
+                        "top' from another terminal")
 
 
 def _add_rundb_path_arg(p) -> None:
@@ -322,21 +322,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--interval", type=float, default=1.0, metavar="S",
                    help="refresh period in seconds (default 1.0)")
 
-    p = sub.add_parser("serve-metrics",
-                       help="HTTP endpoint serving the live session "
-                            "in Prometheus text exposition format")
-    p.add_argument("--dir", default=None,
-                   help="live snapshot directory (default: the "
-                        "REPRO_TELEMETRY path, else ~/.cache/repro/"
-                        "live)")
-    p.add_argument("--addr", default="127.0.0.1",
-                   help="bind address (default 127.0.0.1)")
-    p.add_argument("--port", type=int, default=9464,
-                   help="bind port (default 9464; 0 = ephemeral)")
-    p.add_argument("--once", action="store_true",
-                   help="print one exposition to stdout and exit "
-                        "instead of serving")
-
     p = sub.add_parser("history", help="list recorded runs with key "
                                        "QoR, or one metric's trend")
     _add_rundb_path_arg(p)
@@ -521,9 +506,6 @@ def _dispatch(args, parser) -> int:
     if args.cmd == "top":
         return _run_top(args)
 
-    if args.cmd == "serve-metrics":
-        return _run_serve_metrics(args)
-
     if args.cmd == "history":
         return _run_history(args)
 
@@ -671,32 +653,6 @@ def _run_top(args) -> int:
             _time.sleep(max(0.1, args.interval))
     except KeyboardInterrupt:
         return 0
-
-
-def _run_serve_metrics(args) -> int:
-    """``repro-flow serve-metrics``: Prometheus scrape endpoint."""
-    from ..obs import live
-    directory = args.dir or None
-    if args.once:
-        sys.stdout.write(live.latest_exposition(directory))
-        return 0
-    try:
-        server = live.serve_metrics(directory, addr=args.addr,
-                                    port=args.port)
-    except OSError as exc:
-        print(f"error: cannot bind {args.addr}:{args.port}: {exc}",
-              file=sys.stderr)
-        return 2
-    host, port = server.server_address[:2]
-    print(f"# serving Prometheus metrics on http://{host}:{port}"
-          f"/metrics (Ctrl-C to stop)", file=sys.stderr)
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.server_close()
-    return 0
 
 
 #: Metric columns of the ``history`` run table.

@@ -52,10 +52,11 @@ _current_tracer: contextvars.ContextVar["Tracer | None"] = \
     contextvars.ContextVar("repro_obs_tracer", default=None)
 
 #: Optional process-wide ``fn(phase, span)`` hook, called with
-#: ``"open"`` on span entry and ``"close"`` on exit.  The live
-#: telemetry emitter (:mod:`repro.obs.live`) installs it inside pool
-#: workers to stream span events out-of-band; ``None`` (the default)
-#: keeps the span path hook-free -- one global read per open/close.
+#: ``"open"`` on span entry and ``"close"`` on exit.  A pool worker
+#: (:mod:`repro.exp.pool`) installs it while its parent listens, to
+#: send span events over its job pipe as they happen; ``None`` (the
+#: default) keeps the span path hook-free -- one global read per
+#: open/close.
 _span_listener = None
 
 

@@ -17,9 +17,15 @@ warm pool of worker processes runs the jobs:
   kills and replaces the worker and fails the job with kind
   ``timeout``; a worker that dies fails its job with kind ``crash``.
   The daemon keeps serving either way.  While a job runs, its worker
-  forwards the flow's ``flow.*`` / ``exp.*`` obs spans, which become
-  the per-stage progress events that ``GET /jobs/<id>/events``
-  streams (and that feed the :class:`~repro.obs.live.TelemetryHub`).
+  sends the flow's ``flow.*`` / ``exp.*`` obs spans over its pipe;
+  they become the per-stage progress events that ``GET
+  /jobs/<id>/events`` streams.
+
+The scheduler also folds every worker's spans -- and, with
+``Config.telemetry``, its heartbeats and metric deltas -- into the
+daemon's one :class:`~repro.obs.live.TelemetryHub`, which ``GET
+/metrics`` renders as Prometheus text and which, with telemetry on,
+publishes ``live-<pid>.json`` for ``repro-flow top``.
 
 The workers are forked when the server starts, before it binds its
 listener, and stopped when it stops.  If the scheduler itself fails
@@ -34,6 +40,7 @@ Endpoints::
     GET  /jobs/<id>/events  NDJSON progress stream        200 / 404
     GET  /artifacts/<hash>  completed Result JSON         200 / 400 / 404
     GET  /healthz           liveness + queue counts       200
+    GET  /metrics           Prometheus text exposition    200
 
 Completed results land in the content-addressed
 :class:`~repro.serve.artifacts.ArtifactStore` keyed by
@@ -142,8 +149,6 @@ class _ServiceJobs(_JobSource):
         if phase == "close":
             event["seconds"] = round(seconds, 6)
         item.handle.add_event(event)
-        self.server.hub.record_event(
-            ("span", pid, phase, name, t_wall, seconds))
 
     def finish(self, item, value, seconds, err, spans, metric_rows):
         self._complete(item.handle, value, err)
@@ -198,9 +203,7 @@ class JobServer:
         self.artifacts = ArtifactStore(artifact_dir)
         self.queue = TenantQueue(quota=quota)
         self.store = QueueStore(self.config.run_db)
-        self.hub = live_mod.TelemetryHub(
-            self.config.telemetry_dir if self.config.telemetry else None,
-            hb_interval_s=self.config.hb_interval_s)
+        self.hub = live_mod.TelemetryHub.for_config(self.config)
         self.jobs: dict[str, Job] = {}
         self._jobs_lock = threading.Lock()
         self.draining = False
@@ -238,6 +241,8 @@ class JobServer:
             self._pool.close()
             raise
         self.port = self._server.sockets[0].getsockname()[1]
+        if self.config.telemetry:
+            self.hub.start()
         self._executor = threading.Thread(
             target=self._executor_loop, name="repro-serve-executor",
             daemon=True)
@@ -260,6 +265,7 @@ class JobServer:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
+        self.hub.stop()
         self.store.close()
 
     async def run_until_drained(self) -> None:
@@ -281,7 +287,8 @@ class JobServer:
     def _executor_loop(self) -> None:
         jobs = _ServiceJobs(self)
         try:
-            self._runner._serve(jobs, self._pool)
+            self._runner._serve(jobs, self._pool, self.hub,
+                                heartbeats=self.config.telemetry)
         except Exception as exc:   # noqa: BLE001 -- reported below
             # The scheduler itself failed -- say a replacement worker
             # could not be forked.  Nothing runs the queue any more:
@@ -404,6 +411,13 @@ class JobServer:
             if method != "GET":
                 raise _HttpError(405, "method_not_allowed", "GET only")
             await self._send_json(writer, 200, self.health())
+            return
+        if path == "/metrics":
+            if method != "GET":
+                raise _HttpError(405, "method_not_allowed", "GET only")
+            text = live_mod.snapshot_exposition(self.hub.snapshot())
+            await self._send_raw(writer, 200, text.encode(),
+                                 live_mod.PROM_CONTENT_TYPE)
             return
         if path.startswith("/jobs/"):
             if method != "GET":

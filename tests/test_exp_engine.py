@@ -382,6 +382,88 @@ class TestWireProtocol:
         worker.join(5.0)
         assert not worker.is_alive()
 
+    def test_live_telemetry_rides_between_ack_and_res(self):
+        # With telemetry settings on, a job's spans, beats and metric
+        # deltas come between its ack and its result; the last beat
+        # names no job, and nothing follows the result.
+        import multiprocessing as mp
+
+        from repro.exp.pool import _pool_worker_main
+        from repro.exp.runner import _WorkerSettings
+        beat = 0.01
+        settings = _WorkerSettings.snapshot(live_spans=True,
+                                            heartbeat_s=beat)
+        parent, child = mp.Pipe(duplex=True)
+        worker = threading.Thread(target=_pool_worker_main,
+                                  args=(child,), daemon=True)
+        worker.start()
+        try:
+            for x in (1.0, 2.0, 3.0):
+                parent.send(("run", settings,
+                             JobSpec.make("selftest", x=x, sleep_s=0.1)))
+                assert parent.recv()[0] == "ack"
+                middle = []
+                while (msg := parent.recv())[0] != "res":
+                    middle.append(msg)
+                assert msg[1] == 2.0 * x and msg[3] is None
+                assert {m[0] for m in middle} == {"span", "hb", "mrows"}
+                spans = [m[2:4] for m in middle if m[0] == "span"]
+                assert spans == [("open", "selftest.work"),
+                                 ("close", "selftest.work")]
+                beats = [m for m in middle if m[0] == "hb"]
+                assert len(beats) >= 3
+                assert all(b[3] == "selftest" for b in beats[:-1])
+                assert beats[-1][2] is None
+                assert not parent.poll(3 * beat)
+        finally:
+            parent.send(("stop",))
+            worker.join(5.0)
+        assert not worker.is_alive()
+
+    def test_pipe_survives_span_and_beat_contention(self, monkeypatch):
+        # The job's thread and the heartbeat thread share one pipe.
+        # With threads switching as often as the interpreter allows, a
+        # 1 ms beat races a job whose span messages each take more
+        # than one pipe write: every message must still arrive whole
+        # and in protocol order.
+        import multiprocessing as mp
+        import sys
+
+        from repro import obs
+        from repro.exp import tasks
+        from repro.exp.pool import _pool_worker_main
+        from repro.exp.runner import _WorkerSettings
+
+        def storm(n):
+            for i in range(n):
+                with obs.span("storm." + "s" * 64_000):
+                    obs.metrics.metric_set().counter(f"storm.c{i}")
+            return n
+
+        monkeypatch.setitem(tasks._REGISTRY, "storm", storm)
+        settings = _WorkerSettings.snapshot(live_spans=True,
+                                            heartbeat_s=0.001)
+        parent, child = mp.Pipe(duplex=True)
+        worker = threading.Thread(target=_pool_worker_main,
+                                  args=(child,), daemon=True)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            worker.start()
+            parent.send(("run", settings, JobSpec.make("storm", n=400)))
+            assert parent.recv()[0] == "ack"
+            ops = []
+            while (msg := parent.recv())[0] != "res":
+                ops.append(msg[0])
+        finally:
+            sys.setswitchinterval(switch)
+            parent.send(("stop",))
+            worker.join(5.0)
+        assert not worker.is_alive()
+        assert msg[1] == 400 and msg[3] is None
+        assert ops.count("span") == 800
+        assert set(ops) == {"span", "hb", "mrows"}
+
 
 # ---------------------------------------------------------------------------
 # Determinism of the design flow

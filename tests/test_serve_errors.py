@@ -13,6 +13,7 @@ import socket
 import subprocess
 import sys
 import time
+import urllib.request
 from pathlib import Path
 
 import pytest
@@ -160,6 +161,23 @@ class TestLookupErrors:
             b"Content-Length: 0\r\n\r\n"))
         assert status == 405
         assert parsed["error"]["code"] == "method_not_allowed"
+
+
+def test_metrics_is_strict_exposition_and_get_only(server):
+    from repro.obs import live
+    from tests.test_live import parse_prometheus
+    url = f"http://127.0.0.1:{server.port}/metrics"
+    with urllib.request.urlopen(url, timeout=10) as resp:
+        assert resp.status == 200
+        assert resp.headers["Content-Type"] == live.PROM_CONTENT_TYPE
+        samples, types = parse_prometheus(resp.read().decode())
+    assert samples[("repro_live_session_pid", ())] == os.getpid()
+    assert types["repro_live_stalled_workers"] == "gauge"
+    status, parsed = _raw_exchange(server.port, (
+        b"POST /metrics HTTP/1.1\r\nHost: x\r\n"
+        b"Content-Length: 0\r\n\r\n"))
+    assert status == 405
+    assert parsed["error"]["code"] == "method_not_allowed"
 
 
 def test_quota_exceeded_is_429(config, artifact_dir, monkeypatch):
