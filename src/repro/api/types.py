@@ -47,6 +47,11 @@ _REQUEST_KINDS = ("flow", "experiment")
 #: Request body ceiling enforced by the server (bytes).
 MAX_BODY_BYTES = 4 * 1024 * 1024
 
+#: Accepted experiment timesteps (s), inclusive.  The studies run at
+#: 1e-12 to 8e-12 s; a finer step grows a job's time and waveform memory
+#: without bound (at 1e-15 s one Fig. 8 circuit is 24.2 M steps).
+DT_RANGE = (5e-13, 2e-11)
+
 
 class RequestError(ValueError):
     """A request that can never execute: malformed, mistyped, unknown
@@ -72,7 +77,8 @@ class JobRequest:
                            onto :class:`~repro.flow.flow.FlowOptions`.
     ``kind="experiment"``  run one paper sweep named by ``experiment``
                            (:data:`EXPERIMENTS`); ``dt`` overrides the
-                           simulation timestep.
+                           simulation timestep, a number of seconds
+                           from 5e-13 to 2e-11 (:data:`DT_RANGE`).
 
     ``tenant`` and ``priority`` are scheduling policy for the job
     server (higher priority runs first; quotas are per tenant) and do
@@ -118,9 +124,11 @@ class JobRequest:
         _require(isinstance(self.tenant, str) and bool(self.tenant)
                  and len(self.tenant) <= 64,
                  "tenant must be a non-empty string (<= 64 chars)")
+        lo, hi = DT_RANGE
         _require(self.dt is None or (isinstance(self.dt, (int, float))
-                                     and self.dt > 0),
-                 "dt must be a positive number")
+                                     and not isinstance(self.dt, bool)
+                                     and lo <= self.dt <= hi),
+                 f"dt must be a number of seconds in [{lo:g}, {hi:g}]")
         _require(isinstance(self.params, dict), "params must be a dict")
         return self
 

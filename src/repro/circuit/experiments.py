@@ -134,13 +134,31 @@ def clock_cell_energies_batch(configs: list[dict], *,
             for s, res in zip(setups, results)]
 
 
-def _values(specs: list[JobSpec], runner: ParallelRunner | None,
-            driver: str) -> list:
-    """Submit through the engine (env-configured default if none)."""
+def _sharded(kind: str, field: str, items: list,
+             runner: ParallelRunner | None, driver: str,
+             **params) -> list:
+    """Run ``items`` as the ``field`` list of ``kind`` jobs, one job per
+    worker; return one result per item, in input order.
+
+    The list is cut into ``k = min(runner.jobs, len(items))`` strided
+    shards ``items[i::k]``, each one engine job.  A circuit's result in
+    the batched engine does not depend on which circuits share its
+    batch, so the results are the same for any ``k``.  Strided shards
+    keep the whole list's mix of step counts, which is what balances
+    a lock-step batch.  With ``jobs == 1`` this submits the one job of
+    the whole list.  ``runner=None`` uses the env-configured default.
+    """
     if runner is None:
         runner = default_runner()
-    with obs.span(f"exp.{driver}", n_specs=len(specs)):
-        return runner.run_values(specs)
+    k = max(1, min(runner.jobs, len(items)))
+    specs = [JobSpec.make(kind, **{field: items[i::k]}, **params)
+             for i in range(k)]
+    with obs.span(f"exp.{driver}", n_specs=k):
+        shards = runner.run_values(specs)
+    values: list = [None] * len(items)
+    for i, shard in enumerate(shards):
+        values[i::k] = shard
+    return values
 
 
 def _run_table1(*, tech: Technology = STM018, dt: float = 1e-12,
@@ -148,22 +166,20 @@ def _run_table1(*, tech: Technology = STM018, dt: float = 1e-12,
                 ) -> list[dict[str, float]]:
     """Table 1: all five DETFF candidates, in the paper's row order.
 
-    All five flip-flops run as one tensor-shaped transient inside a
-    single job.
+    The flip-flops run as tensor-shaped transients, one batched job
+    per worker.
     """
-    spec = JobSpec.make("detff_batch", names=list(DETFF_VARIANTS),
-                        tech=tech, dt=dt)
-    (rows,) = _values([spec], runner, "table1")
-    return rows
+    return _sharded("detff_batch", "names", list(DETFF_VARIANTS), runner,
+                    "table1", tech=tech, dt=dt)
 
 
 def _clock_cell_energies(configs: list[dict], dt: float,
                          runner: ParallelRunner | None,
                          driver: str) -> list[float]:
-    """Table 2/3 energies, all configurations in one batched job."""
-    spec = JobSpec.make("clock_cells_batch", configs=configs, dt=dt)
-    (energies,) = _values([spec], runner, driver)
-    return energies
+    """Table 2/3 energies, the configurations batched one job per
+    worker."""
+    return _sharded("clock_cells_batch", "configs", configs, runner,
+                    driver, dt=dt)
 
 
 def _run_table2(*, dt: float = 1e-12,
@@ -239,9 +255,9 @@ def _run_fig_sweep(fig: str, *, widths: list[float] | None = None,
                    ) -> dict[int, list[RoutingMeasurement]]:
     """Figs. 8/9/10 (or the 3.3.2 buffer study): EDA vs switch width.
 
-    ``fig`` is one of ``"fig8"``, ``"fig9"``, ``"fig10"``.  The whole
-    grid runs as a single tensor-shaped job; rows come back grouped by
-    wire length with widths in the order given.
+    ``fig`` is one of ``"fig8"``, ``"fig9"``, ``"fig10"``.  The grid
+    runs as tensor-shaped batches, one job per worker; rows come back
+    grouped by wire length with widths in the order given.
     """
     if fig not in FIG_METAL_CONFIGS:
         raise ValueError(f"unknown figure {fig!r}")
@@ -252,10 +268,9 @@ def _run_fig_sweep(fig: str, *, widths: list[float] | None = None,
         # The paper caps buffers at 16x minimum.
         widths = [w for w in widths if w <= 16.0]
     points = [[w, length] for length in wire_lengths for w in widths]
-    spec = JobSpec.make("fig_sweep_batch", points=points,
-                        switch_type=switch_type, tech=tech, dt=dt, **cfg)
-    (rows,) = _values([spec], runner, fig)
-    values = iter(rows)
+    values = iter(_sharded("fig_sweep_batch", "points", points, runner,
+                           fig, switch_type=switch_type, tech=tech,
+                           dt=dt, **cfg))
     return {length: [next(values) for _ in widths]
             for length in wire_lengths}
 

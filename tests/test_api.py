@@ -130,10 +130,26 @@ class TestJobRequest:
         dict(kind="experiment", experiment="fig8", dt=-1.0),
         dict(kind="experiment", experiment="fig8", tenant=""),
         dict(kind="experiment", experiment="fig8", priority=True),
+        dict(kind="experiment", experiment="fig8", dt=True),
+        dict(kind="experiment", experiment="fig8", dt=float("inf")),
+        dict(kind="experiment", experiment="fig8", dt=1e-15),
+        dict(kind="experiment", experiment="fig8", dt=4.99e-13),
+        dict(kind="experiment", experiment="fig8", dt=2.01e-11),
     ])
     def test_invalid_requests_rejected(self, bad):
         with pytest.raises(RequestError):
             JobRequest(**bad).validate()
+
+    @pytest.mark.parametrize("dt", [5e-13, 2e-11])
+    def test_dt_range_edges_accepted(self, dt):
+        JobRequest(kind="experiment", experiment="fig8", dt=dt).validate()
+
+    def test_dt_error_names_the_range(self):
+        # Python's JSON parser accepts the non-standard `Infinity`.
+        body = json.loads('{"kind": "experiment", "experiment": "fig8", '
+                          '"dt": Infinity}')
+        with pytest.raises(RequestError, match=r"\[5e-13, 2e-11\]"):
+            JobRequest.from_json(body)
 
     def test_from_json_rejects_unknown_fields(self):
         with pytest.raises(RequestError, match="unknown"):

@@ -1,11 +1,11 @@
 """Unit tests for the batch experiment engine (:mod:`repro.exp`).
 
 Covers the runner contract (deterministic ordering, timing and failure
-capture), cache behaviour (hit/miss accounting, the in-process LRU
-layer, pruning, warm-run speedup, atomic sharing between runners),
-where engine knobs are read from the environment, the pool's wire
-protocol, and the design flow's determinism across seeds and hash
-seeds.
+capture), how the paper drivers shard a study over the workers, cache
+behaviour (hit/miss accounting, the in-process LRU layer, pruning,
+warm-run speedup, atomic sharing between runners), where engine knobs
+are read from the environment, the pool's wire protocol, and the
+design flow's determinism across seeds and hash seeds.
 """
 
 import os
@@ -15,6 +15,11 @@ import time
 
 import pytest
 
+from repro.circuit.experiments import (FIG_WIDTHS, FIG_WIRE_LENGTHS,
+                                       _run_fig_sweep, _run_table1,
+                                       _run_table2, _run_table3)
+from repro.circuit.flipflops import DETFF_VARIANTS
+from repro.circuit.technology import STM018
 from repro.exp import (JobError, JobFailedError, JobSpec, NullCache,
                        ParallelRunner, ResultCache, canonical_json,
                        default_runner)
@@ -208,6 +213,91 @@ class TestParallelRunner:
     def test_invalid_jobs_falls_back_to_serial(self, monkeypatch, value):
         monkeypatch.setenv("REPRO_JOBS", value)
         assert default_runner().jobs == 1
+
+
+# ---------------------------------------------------------------------------
+# Paper drivers: one study, one strided shard per worker
+# ---------------------------------------------------------------------------
+
+#: Table 2's clock configurations, in row order.
+TABLE2_CONFIGS = [
+    {"level": "ble", "gated": False},
+    {"level": "ble", "gated": True, "enable": 1},
+    {"level": "ble", "gated": True, "enable": 0, "data_active": False},
+]
+
+#: Each driver's one job before sharding, spelled out: with ``jobs=1``
+#: a driver must still submit exactly this spec.
+UNSHARDED = {
+    "table1": (lambda r: _run_table1(runner=r), "names", JobSpec.make(
+        "detff_batch", names=list(DETFF_VARIANTS), tech=STM018,
+        dt=1e-12)),
+    "table2": (lambda r: _run_table2(runner=r), "configs", JobSpec.make(
+        "clock_cells_batch", configs=TABLE2_CONFIGS, dt=1e-12)),
+    "fig8": (lambda r: _run_fig_sweep("fig8", runner=r), "points",
+             JobSpec.make("fig_sweep_batch",
+                          points=[[w, length] for length in FIG_WIRE_LENGTHS
+                                  for w in FIG_WIDTHS],
+                          switch_type="pass", tech=STM018, dt=2e-12,
+                          metal_width=1.0, metal_spacing=1.0)),
+}
+
+#: Studies whose rows must not depend on the worker count.  The Fig.
+#: subset mixes wire lengths 1 and 8 in each shard, so circuits leave
+#: a shard's batch at different steps.
+SHARD_STUDIES = {
+    "table1": lambda r: _run_table1(dt=4e-12, runner=r),
+    "table3": lambda r: _run_table3(dt=4e-12, runner=r),
+    "fig8_pass": lambda r: _run_fig_sweep(
+        "fig8", widths=[1.0, 4.0, 64.0], wire_lengths=[1, 8], dt=8e-12,
+        runner=r),
+    "fig9_tbuf": lambda r: _run_fig_sweep(
+        "fig9", widths=[1.0, 4.0, 64.0], wire_lengths=[1, 8],
+        switch_type="tbuf", dt=8e-12, runner=r),
+}
+
+
+class _SpecRecorder:
+    """Stands in for a :class:`ParallelRunner`: records the specs a
+    driver submits and answers each with ``reply(spec)``."""
+
+    def __init__(self, jobs: int, reply):
+        self.jobs = jobs
+        self.reply = reply
+        self.specs: list[JobSpec] = []
+
+    def run_values(self, specs):
+        self.specs.extend(specs)
+        return [self.reply(spec) for spec in specs]
+
+
+class TestShardedDrivers:
+    @pytest.mark.parametrize("study", sorted(SHARD_STUDIES))
+    def test_two_shards_equal_one_job(self, study):
+        run = SHARD_STUDIES[study]
+        one = run(ParallelRunner(jobs=1, cache=NullCache()))
+        two = run(ParallelRunner(jobs=2, cache=NullCache()))
+        assert two == one
+
+    @pytest.mark.parametrize("driver", sorted(UNSHARDED))
+    def test_one_worker_submits_the_unsharded_spec(self, driver):
+        run, field, want = UNSHARDED[driver]
+        runner = _SpecRecorder(
+            1, lambda spec: [1e-15] * len(spec.params[field]))
+        run(runner)
+        assert [s.key() for s in runner.specs] == [want.key()]
+
+    def test_table2_goes_out_as_three_shards_back_in_row_order(self):
+        # Each configuration's energy is its row number in fJ.
+        runner = _SpecRecorder(4, lambda spec: [
+            (TABLE2_CONFIGS.index(cfg) + 1) * 1e-15
+            for cfg in spec.params["configs"]])
+        rows = _run_table2(runner=runner)
+        assert [s.params["configs"] for s in runner.specs] == \
+            [[cfg] for cfg in TABLE2_CONFIGS]
+        assert [rows[f] for f in ("single_fJ", "gated_en1_fJ",
+                                  "gated_en0_fJ")] == \
+            pytest.approx([1.0, 2.0, 3.0])
 
 
 # ---------------------------------------------------------------------------

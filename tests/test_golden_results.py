@@ -9,7 +9,10 @@ benchmark run much later.
 The recomputation submits through the experiment engine's default
 runner, so a warm result cache makes this module near-instant while a
 cold one recomputes everything (which is the point: cached and fresh
-values must be the same numbers).
+values must be the same numbers).  The test-wide fixture clears every
+``REPRO_*`` variable, but this module hands ``REPRO_JOBS`` from the
+shell back to that runner: ``REPRO_JOBS=2`` runs each study as two
+shards on the warm pool, and the goldens must hold either way.
 
 The drivers run the batched tensor engine.  The goldens were recorded
 with the one-circuit-at-a-time reference loop
@@ -22,6 +25,7 @@ time and must hit the same goldens.
 
 import json
 import math
+import os
 from pathlib import Path
 
 import pytest
@@ -45,6 +49,15 @@ FIG_LENGTHS = [1, 2, 4, 8]
 #: libm/compiler differences across platforms while still flagging any
 #: genuine modelling drift.
 RTOL = 1e-4
+
+#: The shell's worker count, read before any test clears it.
+SHELL_JOBS = os.environ.get("REPRO_JOBS")
+
+
+@pytest.fixture(autouse=True)
+def _shell_jobs(_hermetic_env, monkeypatch):
+    if SHELL_JOBS is not None:
+        monkeypatch.setenv("REPRO_JOBS", SHELL_JOBS)
 
 
 def _golden(name: str):

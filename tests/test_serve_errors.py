@@ -102,6 +102,16 @@ class TestMalformedBodies:
         assert status == 400
         assert parsed["error"]["code"] == "bad_request"
 
+    def test_out_of_range_dt_is_400(self, server):
+        body = json.dumps({"kind": "experiment", "experiment": "fig8",
+                           "dt": 1e-15}).encode()
+        status, parsed = _raw_exchange(server.port, (
+            b"POST /jobs HTTP/1.1\r\nHost: x\r\n"
+            b"Content-Length: %d\r\n\r\n%s" % (len(body), body)))
+        assert status == 400
+        assert parsed["error"]["code"] == "bad_request"
+        assert "dt" in parsed["error"]["message"]
+
     def test_missing_content_length_is_411(self, server):
         status, parsed = _raw_exchange(
             server.port, b"POST /jobs HTTP/1.1\r\nHost: x\r\n\r\n{}")
@@ -340,6 +350,9 @@ def test_scheduler_failure_fails_taken_jobs_and_drains(
     server reports unhealthy and refuses work, and the queued job
     persists for the next start."""
     entered = FORK.Event()
+    # The crash waits until the queued job's POST has returned, so the
+    # drain it causes cannot refuse that POST with a 503.
+    queued_in = FORK.Event()
     real_spawn = PersistentPool._spawn
 
     def spawn_no_replacement(self):
@@ -349,6 +362,7 @@ def test_scheduler_failure_fails_taken_jobs_and_drains(
 
     def fake_submit(request, **kwargs):
         if request.seed == 13:
+            queued_in.wait(30)
             os._exit(3)
         entered.set()
         time.sleep(30)
@@ -364,6 +378,7 @@ def test_scheduler_failure_fails_taken_jobs_and_drains(
                                            seed=13))
         queued = client.submit(JobRequest(kind="flow", vhdl=COUNTER_VHDL,
                                           seed=3))
+        queued_in.set()
         status = client.wait(held.id, timeout=30)
         assert status.state == "failed"
         assert status.error.kind == "crash"
