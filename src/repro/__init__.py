@@ -14,9 +14,10 @@ Two halves, mirroring the paper:
 
 Quick start::
 
-    from repro.flow import run_flow
-    result = run_flow(open("design.vhd").read())
-    print(result.summary())
+    from repro import api
+    result = api.submit(api.JobRequest(kind="flow",
+                                       vhdl=open("design.vhd").read()))
+    print(result.value["summary"])
 """
 
 from .flow import FlowOptions, FlowResult, run_flow

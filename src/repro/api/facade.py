@@ -71,19 +71,8 @@ def _flow_value(request: JobRequest, cfg: Config) -> dict[str, Any]:
     from ..arch import DEFAULT_ARCH
     from ..flow import flow as flow_mod
     from ..netlist.blif import parse_blif
-    arch = DEFAULT_ARCH
-    for fld in ("n", "k", "channel_width"):
-        v = request.params.get(fld)
-        if v is not None:
-            if not isinstance(v, int) or isinstance(v, bool) or v <= 0:
-                raise RequestError(f"params.{fld} must be a positive "
-                                   f"integer")
-            arch = replace(arch, **{fld: v})
-    unknown = set(request.params) - {"n", "k", "channel_width"}
-    if unknown:
-        raise RequestError(
-            f"unknown flow params: {sorted(unknown)} "
-            f"(supported: n, k, channel_width)")
+    arch = replace(DEFAULT_ARCH, **{k: v for k, v in request.params.items()
+                                    if v is not None})
     options = flow_mod.FlowOptions(
         arch=arch, seed=request.seed,
         min_channel_width=request.min_channel_width,

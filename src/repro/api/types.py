@@ -47,6 +47,10 @@ _REQUEST_KINDS = ("flow", "experiment")
 #: Request body ceiling enforced by the server (bytes).
 MAX_BODY_BYTES = 4 * 1024 * 1024
 
+#: Architecture overrides a flow request may carry in ``params``, each
+#: a positive integer (fields of :class:`~repro.arch.params.ArchParams`).
+FLOW_PARAMS = ("n", "k", "channel_width")
+
 #: Accepted experiment timesteps (s), inclusive.  The studies run at
 #: 1e-12 to 8e-12 s; a finer step grows a job's time and waveform memory
 #: without bound (at 1e-15 s one Fig. 8 circuit is 24.2 M steps).
@@ -74,11 +78,14 @@ class JobRequest:
     ``kind="flow"``        run the complete VHDL-to-bitstream flow over
                            ``vhdl`` (source text) or ``blif`` (netlist
                            text); ``seed`` / ``min_channel_width`` map
-                           onto :class:`~repro.flow.flow.FlowOptions`.
+                           onto :class:`~repro.flow.flow.FlowOptions`,
+                           and ``params`` may override the
+                           architecture's :data:`FLOW_PARAMS`.
     ``kind="experiment"``  run one paper sweep named by ``experiment``
                            (:data:`EXPERIMENTS`); ``dt`` overrides the
                            simulation timestep, a number of seconds
-                           from 5e-13 to 2e-11 (:data:`DT_RANGE`).
+                           from 5e-13 to 2e-11 (:data:`DT_RANGE`);
+                           ``params`` stays empty.
 
     ``tenant`` and ``priority`` are scheduling policy for the job
     server (higher priority runs first; quotas are per tenant) and do
@@ -129,7 +136,23 @@ class JobRequest:
                                      and not isinstance(self.dt, bool)
                                      and lo <= self.dt <= hi),
                  f"dt must be a number of seconds in [{lo:g}, {hi:g}]")
+        _require(isinstance(self.min_channel_width, bool),
+                 "min_channel_width must be a boolean")
         _require(isinstance(self.params, dict), "params must be a dict")
+        if self.kind == "flow":
+            for fld in FLOW_PARAMS:
+                v = self.params.get(fld)
+                _require(v is None or (isinstance(v, int)
+                                       and not isinstance(v, bool)
+                                       and v > 0),
+                         f"params.{fld} must be a positive integer")
+            unknown = set(self.params) - set(FLOW_PARAMS)
+            _require(not unknown,
+                     f"unknown flow params: {sorted(unknown)} "
+                     f"(supported: {', '.join(FLOW_PARAMS)})")
+        else:
+            _require(not self.params,
+                     "an experiment request takes no params")
         return self
 
     # -- JSON ----------------------------------------------------------

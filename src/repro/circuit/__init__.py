@@ -13,9 +13,12 @@ Public surface:
   and DETFF library
 * :mod:`~repro.circuit.experiments` -- Table 1/2/3 and Fig. 8/9/10
   drivers
+
+The CAD flow imports :mod:`~repro.circuit.technology` for wire
+parasitics only, so ``simulate_batch`` (and with it the transient
+engine and SciPy) loads on first access, not with this package.
 """
 
-from .batchsim import simulate_batch
 from .network import Circuit
 from .simulator import (ConvergenceError, NewtonConvergenceError,
                         TransientResult, simulate)
@@ -32,3 +35,10 @@ __all__ = [
     "simulate",
     "simulate_batch",
 ]
+
+
+def __getattr__(name):
+    if name == "simulate_batch":
+        from .batchsim import simulate_batch
+        return simulate_batch
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

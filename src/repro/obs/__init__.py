@@ -9,10 +9,10 @@ JSONL and render as a per-run summary tree (wall time, cache
 hit/miss, QoR numbers such as LUT count and channel width) or as
 per-stage aggregates::
 
-    from repro import obs
+    from repro import api, obs
 
-    with obs.capture() as tr:
-        run_flow(vhdl)                 # stages trace themselves
+    with obs.capture() as tr:          # stages trace themselves
+        api.submit(api.JobRequest(kind="flow", vhdl=vhdl))
     tr.write_jsonl("run.jsonl")
     print(obs.render_tree(tr.export()))
 

@@ -4,10 +4,10 @@ Stdlib only.  The daemon process hosts two cooperating halves, and a
 warm pool of worker processes runs the jobs:
 
 - the **asyncio loop** speaks minimal HTTP/1.1: it parses requests,
-  enforces quotas and body limits, answers status lookups from the
-  in-memory job table and serves artifacts straight off disk.  Every
-  error is structured JSON (``{"error": {"code", "message"}}``) with a
-  meaningful status code.
+  enforces quotas, body limits and read deadlines, answers status
+  lookups from the in-memory job table and serves artifacts straight
+  off disk.  Every error is structured JSON (``{"error": {"code",
+  "message"}}``) with a meaningful status code.
 - the **executor thread** is the experiment engine's one pooled
   scheduler (``ParallelRunner._serve`` in :mod:`repro.exp.runner`).
   It takes jobs off the tenant priority queue as they arrive and keeps
@@ -83,12 +83,20 @@ DEFAULT_PORT = 8732
 
 _REASONS = {200: "OK", 202: "Accepted", 400: "Bad Request",
             404: "Not Found", 405: "Method Not Allowed",
-            411: "Length Required", 413: "Payload Too Large",
-            429: "Too Many Requests", 500: "Internal Server Error",
-            503: "Service Unavailable"}
+            408: "Request Timeout", 411: "Length Required",
+            413: "Payload Too Large", 429: "Too Many Requests",
+            431: "Request Header Fields Too Large",
+            500: "Internal Server Error", 503: "Service Unavailable"}
 
 #: How often a progress stream checks its job for fresh events (s).
 _STREAM_POLL_S = 0.05
+
+#: How long a client may take to send a request's head, and again its
+#: body (s); a stalled client otherwise holds its connection forever.
+_READ_TIMEOUT_S = 10.0
+
+#: Header lines accepted in one request head.
+_MAX_HEADER_LINES = 100
 
 
 class _HttpError(Exception):
@@ -98,6 +106,25 @@ class _HttpError(Exception):
         super().__init__(message)
         self.status = status
         self.code = code
+
+
+async def _before_deadline(read):
+    """Await one request read, or answer 408 after ``_READ_TIMEOUT_S``."""
+    try:
+        return await asyncio.wait_for(read, _READ_TIMEOUT_S)
+    except TimeoutError:
+        raise _HttpError(408, "request_timeout",
+                         f"request not received within "
+                         f"{_READ_TIMEOUT_S:g} s") from None
+
+
+async def _head_line(reader) -> bytes:
+    """One line of a request head; 431 past the reader's line limit."""
+    try:
+        return await reader.readline()
+    except ValueError:             # a line over asyncio's 64 KiB limit
+        raise _HttpError(431, "headers_too_large",
+                         "request head line too long") from None
 
 
 class _ServiceJobs(_JobSource):
@@ -347,7 +374,8 @@ class JobServer:
                       writer: asyncio.StreamWriter) -> None:
         try:
             try:
-                method, path, headers = await self._read_head(reader)
+                method, path, headers = await _before_deadline(
+                    self._read_head(reader))
             except _HttpError as exc:
                 await self._send_error(writer, exc)
                 return
@@ -367,17 +395,23 @@ class JobServer:
                 await writer.wait_closed()
 
     async def _read_head(self, reader) -> tuple[str, str, dict]:
-        line = (await reader.readline()).decode("latin-1").strip()
+        line = (await _head_line(reader)).decode("latin-1").strip()
         parts = line.split()
         if len(parts) != 3 or not parts[2].startswith("HTTP/"):
             raise _HttpError(400, "bad_request",
                              "malformed HTTP request line")
         method, path = parts[0].upper(), parts[1]
         headers: dict[str, str] = {}
+        lines = 0
         while True:
-            raw = await reader.readline()
+            raw = await _head_line(reader)
             if raw in (b"\r\n", b"\n", b""):
                 break
+            lines += 1
+            if lines > _MAX_HEADER_LINES:
+                raise _HttpError(431, "headers_too_large",
+                                 f"more than {_MAX_HEADER_LINES} "
+                                 f"header lines")
             name, _, value = raw.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
         return method, path, headers
@@ -396,7 +430,7 @@ class JobServer:
             raise _HttpError(
                 413, "too_large",
                 f"request body exceeds {MAX_BODY_BYTES} bytes")
-        return await reader.readexactly(n)
+        return await _before_deadline(reader.readexactly(n))
 
     async def _route(self, method: str, path: str, headers: dict,
                      reader, writer) -> None:

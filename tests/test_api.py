@@ -3,6 +3,9 @@ the submit facade, and the deprecation shims over the old entrypoints."""
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -135,6 +138,12 @@ class TestJobRequest:
         dict(kind="experiment", experiment="fig8", dt=1e-15),
         dict(kind="experiment", experiment="fig8", dt=4.99e-13),
         dict(kind="experiment", experiment="fig8", dt=2.01e-11),
+        dict(kind="flow", vhdl=VHDL, params={"bogus": 1}),
+        dict(kind="flow", vhdl=VHDL, params={"n": "x"}),
+        dict(kind="flow", vhdl=VHDL, params={"k": True}),
+        dict(kind="flow", vhdl=VHDL, params={"channel_width": 0}),
+        dict(kind="flow", vhdl=VHDL, min_channel_width="yes"),
+        dict(kind="experiment", experiment="fig8", params={"n": 5}),
     ])
     def test_invalid_requests_rejected(self, bad):
         with pytest.raises(RequestError):
@@ -285,3 +294,43 @@ class TestSubmitFacade:
             warnings.simplefilter("error", DeprecationWarning)
             api.submit(JobRequest(kind="experiment",
                                   experiment="table2", dt=DT))
+
+
+# ---------------------------------------------------------------------------
+# Import boundary: flow and service processes never load the transient
+# engine or SciPy; the paper studies still do
+# ---------------------------------------------------------------------------
+
+_BOUNDARY_PROBE = """
+import sys
+
+from repro import api
+import repro.flow.cli, repro.serve
+
+result = api.submit(api.JobRequest(kind="flow", blif=sys.argv[1]),
+                    config=api.Config(cache=False))
+assert result.value["bitstream_sha256"], result
+for mod in ("scipy", "repro.circuit.batchsim"):
+    assert mod not in sys.modules, f"a flow process loaded {mod}"
+
+import repro.circuit.experiments
+for mod in ("scipy", "repro.circuit.batchsim"):
+    assert mod in sys.modules, f"the paper studies did not load {mod}"
+assert repro.circuit.simulate_batch is repro.circuit.batchsim.simulate_batch
+names = {}
+exec("from repro.circuit import *", names)
+missing = set(repro.circuit.__all__) - set(names)
+assert not missing, f"import * missed {sorted(missing)}"
+"""
+
+
+def test_flow_processes_do_not_load_the_transient_engine():
+    # A fresh interpreter: this one has loaded SciPy long ago.
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    blif = ".model tiny\n.inputs a\n.outputs y\n.names a y\n1 1\n.end\n"
+    out = subprocess.run(
+        [sys.executable, "-c", _BOUNDARY_PROBE, blif],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert out.returncode == 0, out.stderr

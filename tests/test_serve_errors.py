@@ -112,6 +112,18 @@ class TestMalformedBodies:
         assert parsed["error"]["code"] == "bad_request"
         assert "dt" in parsed["error"]["message"]
 
+    def test_bad_flow_params_are_400_and_create_no_job(self, server):
+        for params in ({"bogus": 1}, {"n": "x"}):
+            body = json.dumps({"kind": "flow", "vhdl": COUNTER_VHDL,
+                               "params": params}).encode()
+            status, parsed = _raw_exchange(server.port, (
+                b"POST /jobs HTTP/1.1\r\nHost: x\r\n"
+                b"Content-Length: %d\r\n\r\n%s" % (len(body), body)))
+            assert status == 400
+            assert parsed["error"]["code"] == "bad_request"
+            assert "params" in parsed["error"]["message"]
+        assert server.health()["jobs"] == 0
+
     def test_missing_content_length_is_411(self, server):
         status, parsed = _raw_exchange(
             server.port, b"POST /jobs HTTP/1.1\r\nHost: x\r\n\r\n{}")
@@ -130,6 +142,55 @@ class TestMalformedBodies:
         status, parsed = _raw_exchange(server.port, b"GARBAGE\r\n\r\n")
         assert status == 400
         assert parsed["error"]["code"] == "bad_request"
+
+
+class TestStalledClients:
+    """A client that stops sending mid-request, or sends an oversized
+    head, gets a structured error instead of holding its connection."""
+
+    @pytest.fixture(autouse=True)
+    def _short_deadline(self, monkeypatch):
+        from repro.serve import server as server_mod
+        monkeypatch.setattr(server_mod, "_READ_TIMEOUT_S", 0.3)
+
+    @staticmethod
+    def _stalled_exchange(port, payload: bytes) -> tuple[int, dict]:
+        """Send ``payload``, keep the socket open, read the answer."""
+        with socket.create_connection(("127.0.0.1", port),
+                                      timeout=10) as s:
+            s.sendall(payload)
+            t0 = time.monotonic()
+            raw = b""
+            while chunk := s.recv(65536):
+                raw += chunk
+            assert time.monotonic() - t0 < 5
+        head, _, body = raw.partition(b"\r\n\r\n")
+        return int(head.split()[1]), json.loads(body)
+
+    @pytest.mark.parametrize("payload", [
+        b"GET /healthz HTTP/1.1\r\nHost: x\r\n",
+        b"POST /jobs HTTP/1.1\r\nHost: x\r\n"
+        b"Content-Length: 100\r\n\r\n{\"kind\": ",
+    ], ids=["head", "body"])
+    def test_half_sent_request_is_408(self, server, payload):
+        status, parsed = self._stalled_exchange(server.port, payload)
+        assert status == 408
+        assert parsed["error"]["code"] == "request_timeout"
+        assert ServiceClient(port=server.port).health()["ok"] is True
+        assert server.health()["jobs"] == 0
+
+    @pytest.mark.parametrize("head", [
+        b"X-Pad: 1\r\n" * 101,
+        b"X-Pad: " + b"1" * 70_000 + b"\r\n",
+    ], ids=["lines", "long_line"])
+    def test_oversized_head_is_431(self, server, head):
+        status, parsed = self._stalled_exchange(
+            server.port, b"GET /healthz HTTP/1.1\r\n" + head)
+        assert status == 431
+        assert parsed["error"]["code"] == "headers_too_large"
+        ok = b"GET /healthz HTTP/1.1\r\n" + b"X-Pad: 1\r\n" * 100
+        status, parsed = _raw_exchange(server.port, ok + b"\r\n")
+        assert status == 200 and parsed["ok"] is True
 
 
 class TestLookupErrors:
