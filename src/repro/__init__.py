@@ -12,6 +12,9 @@ Two halves, mirroring the paper:
   :mod:`repro.power` (PowerModel), :mod:`repro.bitgen` (DAGGER) and
   :mod:`repro.flow` (orchestrator, GUI, CLI).
 
+Importing this package loads none of them: each process loads the
+tools it runs.
+
 Quick start::
 
     from repro import api
@@ -20,8 +23,6 @@ Quick start::
     print(result.value["summary"])
 """
 
-from .flow import FlowOptions, FlowResult, run_flow
-
 __version__ = "1.0.0"
 
-__all__ = ["FlowOptions", "FlowResult", "run_flow", "__version__"]
+__all__ = ["__version__"]

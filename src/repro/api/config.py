@@ -88,11 +88,13 @@ def _env_str(name: str) -> str | None:
     return raw if raw else None
 
 
-def _env_timeout() -> float | None:
+def job_timeout_from_env(default: float | None = None) -> float | None:
+    """``REPRO_JOB_TIMEOUT`` in seconds: ``default`` when it is unset or
+    unparseable, ``None`` (no limit) when it is not positive."""
     try:
         value = float(os.environ["REPRO_JOB_TIMEOUT"])
     except (KeyError, ValueError):
-        return None
+        return default
     return value if value > 0 else None
 
 
@@ -161,7 +163,7 @@ class Config:
             "cache": not _env_bool("REPRO_NO_CACHE", False),
             "cache_dir": _env_str("REPRO_CACHE_DIR"),
             "cache_lru_mb": _env_lru_mb(),
-            "job_timeout_s": _env_timeout(),
+            "job_timeout_s": job_timeout_from_env(),
             "telemetry": telemetry,
             "telemetry_dir": telemetry_dir,
             "hb_interval_s": _env_hb_interval(),

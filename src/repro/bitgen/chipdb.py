@@ -37,9 +37,10 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from ..arch.fabric import FabricGrid
-from ..arch.params import ArchParams
+if TYPE_CHECKING:
+    from ..arch.params import ArchParams
 
 __all__ = ["BitField", "ChipDb", "ChipDbError", "ClbTileMap",
            "IoTileMap", "SbTileMap", "Tile", "build_chipdb",
@@ -338,8 +339,10 @@ def build_chipdb(arch: ArchParams, size: int) -> ChipDb:
 
     Pure function of the architecture parameters and the
     :class:`~repro.arch.fabric.FabricGrid` geometry; everything the
-    bitstream tools need is derived here, once.
+    bitstream tools need is derived here, once.  The fabric loads here,
+    not with the module: a job key needs only the schema constants.
     """
+    from ..arch.fabric import FabricGrid
     if size < 1:
         raise ChipDbError(f"grid size must be >= 1, got {size}")
     grid = FabricGrid(arch, size)

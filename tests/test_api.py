@@ -297,19 +297,30 @@ class TestSubmitFacade:
 
 
 # ---------------------------------------------------------------------------
-# Import boundary: flow and service processes never load the transient
-# engine or SciPy; the paper studies still do
+# Import boundary: library code, job keys and client commands load no
+# flow; flow and service processes never load the transient engine or
+# SciPy; the paper studies still do
 # ---------------------------------------------------------------------------
 
 _BOUNDARY_PROBE = """
 import sys
 
+import repro, repro.api, repro.exp, repro.flow.cli, repro.obs, repro.serve
 from repro import api
-import repro.flow.cli, repro.serve
+from repro.exp import JobSpec
 
-result = api.submit(api.JobRequest(kind="flow", blif=sys.argv[1]),
-                    config=api.Config(cache=False))
+request = api.JobRequest(kind="flow", blif=sys.argv[1])
+JobSpec.make("submit", request=request, config=api.Config()).key()
+request.content_hash()
+FLOW = ("repro.flow.flow", "repro.arch", "repro.place", "repro.route",
+        "numpy")
+for mod in FLOW:
+    assert mod not in sys.modules, f"library code or a job key loaded {mod}"
+
+result = api.submit(request, config=api.Config(cache=False))
 assert result.value["bitstream_sha256"], result
+for mod in FLOW:
+    assert mod in sys.modules, f"the flow did not load {mod}"
 for mod in ("scipy", "repro.circuit.batchsim"):
     assert mod not in sys.modules, f"a flow process loaded {mod}"
 
@@ -317,10 +328,11 @@ import repro.circuit.experiments
 for mod in ("scipy", "repro.circuit.batchsim"):
     assert mod in sys.modules, f"the paper studies did not load {mod}"
 assert repro.circuit.simulate_batch is repro.circuit.batchsim.simulate_batch
-names = {}
-exec("from repro.circuit import *", names)
-missing = set(repro.circuit.__all__) - set(names)
-assert not missing, f"import * missed {sorted(missing)}"
+for package in ("repro.circuit", "repro.flow", "repro.bitgen"):
+    names = {}
+    exec(f"from {package} import *", names)
+    missing = set(sys.modules[package].__all__) - set(names)
+    assert not missing, f"{package} import * missed {sorted(missing)}"
 """
 
 
