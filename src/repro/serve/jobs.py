@@ -51,7 +51,9 @@ class Job:
     """One submitted request plus its lifecycle and progress trail."""
 
     id: str
-    request: JobRequest
+    #: ``None`` once the job has finished: nothing reads it then, and a
+    #: design may be up to ``MAX_BODY_BYTES`` of text.
+    request: JobRequest | None
     status: JobStatus
     events: list[dict] = field(default_factory=list)
     #: Set once ``status.done`` -- streamers stop waiting on it.
