@@ -14,14 +14,13 @@ from repro.bench import mcnc_class_suite
 from repro.bitgen import (build_chipdb, disassemble, pack_bitstream,
                           unpack_bitstream)
 from repro.bitgen.devicesim import pad_map_from_placement
-from repro.flow import FlowOptions
-from repro.flow.flow import run_flow_from_logic
+from repro.flow import DesignFlow, FlowOptions
 
 
 def _roundtrip_rows():
     rows = []
     for net in mcnc_class_suite():
-        res = run_flow_from_logic(net, FlowOptions(seed=1))
+        res = DesignFlow(FlowOptions(seed=1)).run(net)
         arch, size = res.placement.arch, res.placement.grid_size
 
         t0 = time.perf_counter()

@@ -12,8 +12,7 @@ from dataclasses import replace
 from conftest import print_table, save_results
 from repro.arch import DEFAULT_ARCH
 from repro.bench import counter, random_logic
-from repro.flow import FlowOptions
-from repro.flow.flow import run_flow_from_logic
+from repro.flow import DesignFlow, FlowOptions
 
 
 def _sweep():
@@ -26,9 +25,8 @@ def _sweep():
         total = 0.0
         routing = 0.0
         for net in circuits:
-            res = run_flow_from_logic(
-                net.copy(), FlowOptions(arch=arch, seed=1,
-                                        f_clk_hz=100e6))
+            res = DesignFlow(FlowOptions(arch=arch, seed=1,
+                                         f_clk_hz=100e6)).run(net.copy())
             total += res.power.total_w
             routing += res.power.routing_w
         rows.append({"N": n, "I": arch.inputs_per_clb,

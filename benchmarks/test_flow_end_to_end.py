@@ -8,14 +8,13 @@ ours: per circuit, LUTs / CLBs / minimum channel width / critical path
 
 from conftest import print_table, save_results
 from repro.bench import mcnc_class_suite
-from repro.flow import FlowOptions
-from repro.flow.flow import run_flow_from_logic
+from repro.flow import DesignFlow, FlowOptions
 
 
 def _qor():
     rows = []
     for net in mcnc_class_suite():
-        res = run_flow_from_logic(net, FlowOptions(seed=1))
+        res = DesignFlow(FlowOptions(seed=1)).run(net)
         s = res.summary()
         s["wirelength"] = res.routing.total_wirelength(res.rr_graph)
         rows.append(s)

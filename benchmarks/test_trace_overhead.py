@@ -30,8 +30,7 @@ from repro.bench import mcnc_class_suite
 from repro.exp.jobspec import JobSpec
 from repro.exp.pool import shutdown_pools
 from repro.exp.runner import ParallelRunner
-from repro.flow import FlowOptions
-from repro.flow.flow import run_flow_from_logic
+from repro.flow import DesignFlow, FlowOptions
 from repro.obs import live
 
 ROUNDS = 7
@@ -41,7 +40,7 @@ MAX_OVERHEAD = 1.05
 def _one_run(nets) -> float:
     t0 = time.perf_counter()
     for net in nets:
-        run_flow_from_logic(net, FlowOptions(seed=1, use_cache=False))
+        DesignFlow(FlowOptions(seed=1, use_cache=False)).run(net)
     return time.perf_counter() - t0
 
 

@@ -10,14 +10,13 @@ model:
 3. full-flow power estimate of a mixed design with and without the
    gated clock, at the design's own fmax.
 
-Run:  python examples/low_power_design.py       (~1 min)
+Run:  python examples/low_power_design.py       (~5 s with a cold cache)
 """
 
 from repro.bench import counter, parity_tree
 from repro.circuit.experiments import (gated_clock_breakeven, run_table1,
                                        run_table2, run_table3)
-from repro.flow import FlowOptions
-from repro.flow.flow import run_flow_from_logic
+from repro.flow import DesignFlow, FlowOptions
 
 
 def main() -> None:
@@ -50,12 +49,10 @@ def main() -> None:
     # combinational block whose clusters hold no flip-flops at all.
     for name, net in (("counter8", counter(8)),
                       ("parity64", parity_tree(64))):
-        res_g = run_flow_from_logic(net.copy(),
-                                    FlowOptions(seed=1,
-                                                gated_clock=True))
-        res_n = run_flow_from_logic(net.copy(),
-                                    FlowOptions(seed=1,
-                                                gated_clock=False))
+        res_g = DesignFlow(FlowOptions(seed=1, gated_clock=True)).run(
+            net.copy())
+        res_n = DesignFlow(FlowOptions(seed=1, gated_clock=False)).run(
+            net.copy())
         pg, pn = res_g.power, res_n.power
         print(f"   {name:9s} fmax={res_g.timing.fmax_hz / 1e6:6.1f} MHz"
               f"  clock power: gated {pg.clock_w * 1e6:8.1f} uW vs "

@@ -1,10 +1,10 @@
 """One place for every ``REPRO_*`` runtime knob.
 
-Historically each subsystem read its own environment variables at its
-own call site with its own fallback semantics (``repro.exp.runner``,
-``repro.exp.cache``, ``repro.obs.live``, the CLI).  :class:`Config`
-gathers them into one documented, typed dataclass with one
-construction rule:
+:class:`Config` is the only code in the package that reads a
+``REPRO_*`` environment variable.  Every other module takes the
+resolved value as an argument -- a cache root, a run-DB path, an
+artifact store -- and falls back to a fixed default, never to the
+environment.  A config has one construction rule:
 
     **explicit argument > environment variable > built-in default**
 
@@ -12,8 +12,7 @@ construction rule:
 keyword passed explicitly always wins, an unset keyword falls back to
 the corresponding environment variable, and an unset/invalid
 environment value falls back to the built-in default (a stray
-environment variable must never break a run -- the same forgiveness the
-scattered readers always had).
+environment variable must never break a run).
 
 =====================  ======================  ==========================
 field                  environment variable    meaning
@@ -23,6 +22,7 @@ field                  environment variable    meaning
 ``cache``              ``REPRO_NO_CACHE``      result cache on/off
                                                (env is the *negation*)
 ``cache_dir``          ``REPRO_CACHE_DIR``     result-cache root
+                                               (``~/.cache/repro-exp``)
 ``cache_lru_mb``       ``REPRO_CACHE_LRU_MB``  in-process blob LRU bound
 ``job_timeout_s``      ``REPRO_JOB_TIMEOUT``   per-job deadline (None =
                                                unlimited)
@@ -32,11 +32,17 @@ field                  environment variable    meaning
 ``hb_interval_s``      ``REPRO_HB_INTERVAL``   heartbeat period
 ``trace``              ``REPRO_TRACE``         span-trace JSONL path
 ``run_db``             ``REPRO_RUN_DB``        run-history SQLite path
+                                               (``~/.cache/repro/
+                                               runs.db``)
+``artifact_dir``       ``REPRO_ARTIFACT_DIR``  job-server artifact store
+                                               (``~/.cache/repro/
+                                               artifacts``)
 =====================  ======================  ==========================
 
 The CLI and the job server both build their runtime from here (see
-:meth:`Config.runner`), so the precedence rule is enforced in exactly
-one module and locked by ``tests/test_api.py``.
+:meth:`Config.runner` and :meth:`Config.flow_options`), so the
+precedence rule is enforced in exactly one module and locked by
+``tests/test_api.py``.
 """
 
 from __future__ import annotations
@@ -141,6 +147,7 @@ class Config:
     hb_interval_s: float = 0.5
     trace: str | None = None
     run_db: str | None = None
+    artifact_dir: str | None = None
 
     # ------------------------------------------------------------------
     @classmethod
@@ -169,40 +176,12 @@ class Config:
             "hb_interval_s": _env_hb_interval(),
             "trace": _env_str("REPRO_TRACE"),
             "run_db": _env_str("REPRO_RUN_DB"),
+            "artifact_dir": _env_str("REPRO_ARTIFACT_DIR"),
         }
         for name, value in overrides.items():
             if value is not UNSET:
                 env_values[name] = value
         return cls(**env_values)
-
-    # ------------------------------------------------------------------
-    def to_env(self) -> dict[str, str]:
-        """The environment mapping equivalent to this config.
-
-        Only knobs that differ from the built-in defaults appear, so
-        the mapping composes cleanly with an inherited environment
-        (``os.environ.update(cfg.to_env())``, subprocess ``env=``).
-        """
-        out: dict[str, str] = {}
-        if self.jobs != 1:
-            out["REPRO_JOBS"] = str(self.jobs)
-        if not self.cache:
-            out["REPRO_NO_CACHE"] = "1"
-        if self.cache_dir:
-            out["REPRO_CACHE_DIR"] = str(self.cache_dir)
-        if self.cache_lru_mb != 64.0:
-            out["REPRO_CACHE_LRU_MB"] = repr(self.cache_lru_mb)
-        if self.job_timeout_s is not None:
-            out["REPRO_JOB_TIMEOUT"] = repr(self.job_timeout_s)
-        if self.telemetry:
-            out["REPRO_TELEMETRY"] = self.telemetry_dir or "1"
-        if self.hb_interval_s != 0.5:
-            out["REPRO_HB_INTERVAL"] = repr(self.hb_interval_s)
-        if self.trace:
-            out["REPRO_TRACE"] = str(self.trace)
-        if self.run_db:
-            out["REPRO_RUN_DB"] = str(self.run_db)
-        return out
 
     # ------------------------------------------------------------------
     def runner(self):
@@ -214,3 +193,11 @@ class Config:
                  if self.cache else NullCache())
         return ParallelRunner(jobs=self.jobs, cache=cache,
                               timeout_s=self.job_timeout_s)
+
+    def flow_options(self, **fields: Any):
+        """:class:`~repro.flow.flow.FlowOptions` whose stage cache is
+        this config's (on/off, root, LRU bound); ``fields`` set the
+        rest (arch, seed, ...)."""
+        from ..flow.flow import FlowOptions
+        return FlowOptions(use_cache=self.cache, cache_dir=self.cache_dir,
+                           cache_lru_mb=self.cache_lru_mb, **fields)

@@ -1,10 +1,11 @@
-"""``repro.api.submit`` -- the single typed entrypoint for all work.
+"""``repro.api.submit`` -- one typed request in, one JSON result out.
 
-Historically every workload had its own entrypoint with its own
-argument conventions: ``run_table1/2/3`` and ``run_fig_sweep`` for the
-paper's experiments, ``run_flow`` / ``run_flow_from_logic`` /
-:class:`~repro.flow.flow.DesignFlow` for designs.  This module
-collapses them behind one facade::
+Each job has one entry point underneath: the paper studies are the
+drivers of :mod:`repro.circuit.experiments` (``run_table1/2/3`` and
+``run_fig_sweep``), and a design goes through
+``DesignFlow(options).run(design)`` (:mod:`repro.flow.flow`), with
+VHDL text or a parsed BLIF network.  This module puts one request
+type in front of both::
 
     from repro import api
 
@@ -17,10 +18,8 @@ the other two transports -- the HTTP job server (:mod:`repro.serve`)
 and the ``repro-flow submit`` CLI -- and always produces the same
 JSON-shaped :class:`~repro.api.types.Result` value, which is what makes
 the server's content-addressed artifact store coherent across all
-three.
-
-The legacy entrypoints keep working as thin deprecation shims over
-this facade's internals.
+three.  Execution policy (workers, caching) comes from one
+:class:`~repro.api.config.Config`.
 """
 
 from __future__ import annotations
@@ -40,16 +39,16 @@ def _experiment_value(request: JobRequest, runner) -> dict[str, Any]:
     what = request.experiment
     dt = request.dt
     if what == "table1":
-        rows: Any = exp_mod._run_table1(dt=dt or 1e-12, runner=runner)
+        rows: Any = exp_mod.run_table1(dt=dt or 1e-12, runner=runner)
     elif what == "table2":
-        rows = exp_mod._run_table2(dt=dt or 1e-12, runner=runner)
+        rows = exp_mod.run_table2(dt=dt or 1e-12, runner=runner)
     elif what == "table3":
-        rows = exp_mod._run_table3(dt=dt or 1e-12, runner=runner)
+        rows = exp_mod.run_table3(dt=dt or 1e-12, runner=runner)
     else:
         fig = "fig9" if what == "tristate" else what
         switch = "tbuf" if what == "tristate" else "pass"
-        sweep = exp_mod._run_fig_sweep(fig, switch_type=switch,
-                                       dt=dt or 2e-12, runner=runner)
+        sweep = exp_mod.run_fig_sweep(fig, switch_type=switch,
+                                      dt=dt or 2e-12, runner=runner)
         rows = [{"wire_len": length, "width_x": m.width_mult,
                  "energy_fJ": m.energy / 1e-15,
                  "delay_ps": m.delay / 1e-12,
@@ -69,23 +68,21 @@ def _flow_value(request: JobRequest, cfg: Config) -> dict[str, Any]:
     from dataclasses import replace
 
     from ..arch import DEFAULT_ARCH
-    from ..flow import flow as flow_mod
+    from ..flow.flow import DesignFlow
     from ..netlist.blif import parse_blif
     arch = replace(DEFAULT_ARCH, **{k: v for k, v in request.params.items()
                                     if v is not None})
-    options = flow_mod.FlowOptions(
+    options = cfg.flow_options(
         arch=arch, seed=request.seed,
-        min_channel_width=request.min_channel_width,
-        use_cache=cfg.cache, cache_dir=cfg.cache_dir,
-        cache_lru_mb=cfg.cache_lru_mb)
+        min_channel_width=request.min_channel_width)
     if request.vhdl is not None:
-        res = flow_mod._run_flow(request.vhdl, options)
+        design: Any = request.vhdl
     else:
         try:
-            logic = parse_blif(request.blif)
+            design = parse_blif(request.blif)
         except ValueError as exc:
             raise RequestError(f"unparseable BLIF: {exc}") from None
-        res = flow_mod._run_flow_from_logic(logic, options)
+    res = DesignFlow(options).run(design)
     return {
         "summary": res.summary(),
         "stage_seconds": {k: round(v, 6)

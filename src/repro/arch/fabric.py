@@ -56,9 +56,6 @@ class FabricGrid:
                 out.append(Site("io", s + 1, y, sub))      # right
         return out
 
-    def all_sites(self) -> list[Site]:
-        return [*self.clb_sites(), *self.io_sites()]
-
     # -- channels ------------------------------------------------------
     def chanx_positions(self) -> list[tuple[int, int]]:
         """(x, y) pairs for horizontal channel segments."""

@@ -184,10 +184,6 @@ class ChipDb:
     def tiles_of(self, kind: str) -> list[Tile]:
         return [t for t in self.tiles if t.kind == kind]
 
-    def tile_map(self, kind: str) -> ClbTileMap | SbTileMap | IoTileMap:
-        return {"clb": self.clb_map, "sb": self.sb_map,
-                "io": self.io_map}[kind]
-
     def stream_bytes(self) -> int:
         """Exact byte length of a DAGR stream over this fabric."""
         return HEADER_BYTES + (self.body_bits + 7) // 8 + CRC_BYTES

@@ -192,17 +192,3 @@ def buffer2(ckt: Circuit, a: int, y: int, *, w1: float = 1.0,
     mid = ckt.node(f"{name}.mid")
     inverter(ckt, a, mid, wn=w1, wp=2.0 * w1, name=f"{name}.i0")
     inverter(ckt, mid, y, wn=w2, wp=2.0 * w2, name=f"{name}.i1")
-
-
-def tristate_buffer2(ckt: Circuit, a: int, y: int, *, en: int, en_b: int,
-                     w1: float = 1.0, w2: float = 4.0,
-                     name: str = "tbuf") -> None:
-    """Two-stage tri-state buffer (routing-switch style, section 3.3.2).
-
-    First stage is a minimum-width inverter (logic-threshold adjustment
-    per the paper); second stage is a clocked inverter of width ``w2``.
-    """
-    mid = ckt.node(f"{name}.mid")
-    inverter(ckt, a, mid, wn=w1, wp=w1, name=f"{name}.i0")
-    tristate_inverter_a(ckt, mid, y, en=en, en_b=en_b, wn=w2, wp=2.0 * w2,
-                        name=f"{name}.i1")

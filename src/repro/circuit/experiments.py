@@ -12,10 +12,11 @@ examples can all share them:
 
 Every driver fans its independent measurements out through the batch
 experiment engine (:mod:`repro.exp`): pass ``runner=ParallelRunner(...)``
-to control worker count and caching, or set ``REPRO_JOBS`` /
-``REPRO_NO_CACHE`` in the environment to configure the default.
-Results are deterministic and row order matches the paper regardless
-of how many workers computed them.
+to control worker count and caching; with none given,
+:meth:`repro.api.Config.from_env` builds the runner (``REPRO_JOBS``,
+``REPRO_NO_CACHE``, ...).  ``repro.api.submit`` of an ``experiment``
+request calls these same drivers.  Results are deterministic and row
+order matches the paper regardless of how many workers computed them.
 """
 
 from __future__ import annotations
@@ -161,9 +162,9 @@ def _sharded(kind: str, field: str, items: list,
     return values
 
 
-def _run_table1(*, tech: Technology = STM018, dt: float = 1e-12,
-                runner: ParallelRunner | None = None
-                ) -> list[dict[str, float]]:
+def run_table1(*, tech: Technology = STM018, dt: float = 1e-12,
+               runner: ParallelRunner | None = None
+               ) -> list[dict[str, float]]:
     """Table 1: all five DETFF candidates, in the paper's row order.
 
     The flip-flops run as tensor-shaped transients, one batched job
@@ -182,8 +183,8 @@ def _clock_cell_energies(configs: list[dict], dt: float,
                     driver, dt=dt)
 
 
-def _run_table2(*, dt: float = 1e-12,
-                runner: ParallelRunner | None = None) -> dict[str, float]:
+def run_table2(*, dt: float = 1e-12,
+               runner: ParallelRunner | None = None) -> dict[str, float]:
     """Table 2: BLE-level single vs gated clock energies (fJ/cycle).
 
     Returns single-clock energy, gated energy with enable=1 and
@@ -207,9 +208,9 @@ def _run_table2(*, dt: float = 1e-12,
     }
 
 
-def _run_table3(*, dt: float = 1e-12,
-                runner: ParallelRunner | None = None
-                ) -> list[dict[str, float]]:
+def run_table3(*, dt: float = 1e-12,
+               runner: ParallelRunner | None = None
+               ) -> list[dict[str, float]]:
     """Table 3: CLB-level single vs gated clock for three conditions."""
     conditions = (("all_off", 0), ("one_on", 1), ("all_on", 5))
     configs = [{"level": "clb", "gated": gated, "n_on": n_on}
@@ -246,13 +247,13 @@ def gated_clock_breakeven(rows: list[dict[str, float]]) -> float:
     return num / den
 
 
-def _run_fig_sweep(fig: str, *, widths: list[float] | None = None,
-                   wire_lengths: list[int] | None = None,
-                   switch_type: str = "pass",
-                   tech: Technology = STM018,
-                   dt: float = 2e-12,
-                   runner: ParallelRunner | None = None
-                   ) -> dict[int, list[RoutingMeasurement]]:
+def run_fig_sweep(fig: str, *, widths: list[float] | None = None,
+                  wire_lengths: list[int] | None = None,
+                  switch_type: str = "pass",
+                  tech: Technology = STM018,
+                  dt: float = 2e-12,
+                  runner: ParallelRunner | None = None
+                  ) -> dict[int, list[RoutingMeasurement]]:
     """Figs. 8/9/10 (or the 3.3.2 buffer study): EDA vs switch width.
 
     ``fig`` is one of ``"fig8"``, ``"fig9"``, ``"fig10"``.  The grid
@@ -273,30 +274,3 @@ def _run_fig_sweep(fig: str, *, widths: list[float] | None = None,
                            dt=dt, **cfg))
     return {length: [next(values) for _ in widths]
             for length in wire_lengths}
-
-
-# ---------------------------------------------------------------------------
-# Deprecated public entrypoints.  The typed facade `repro.api.submit`
-# (a JobRequest with kind="experiment") is the supported way to run the
-# paper sweeps; these shims keep existing callers working unchanged.
-
-def _deprecated_entrypoint(public: str, impl):
-    def shim(*args, **kwargs):
-        import warnings
-        warnings.warn(
-            f"repro.circuit.experiments.{public}() is deprecated; "
-            f"submit a JobRequest(kind='experiment') through "
-            f"repro.api.submit() instead",
-            DeprecationWarning, stacklevel=2)
-        return impl(*args, **kwargs)
-    shim.__name__ = public
-    shim.__qualname__ = public
-    shim.__doc__ = (f"Deprecated alias of the experiment engine behind "
-                    f"``repro.api.submit``.\n\n{impl.__doc__}")
-    return shim
-
-
-run_table1 = _deprecated_entrypoint("run_table1", _run_table1)
-run_table2 = _deprecated_entrypoint("run_table2", _run_table2)
-run_table3 = _deprecated_entrypoint("run_table3", _run_table3)
-run_fig_sweep = _deprecated_entrypoint("run_fig_sweep", _run_fig_sweep)

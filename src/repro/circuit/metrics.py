@@ -70,17 +70,6 @@ def settled(wave: np.ndarray, vdd: float, *, frac: float = 0.1) -> bool:
     return bool(v < frac * vdd or v > (1.0 - frac) * vdd)
 
 
-def energy_delay_product(energy: float, delay: float) -> float:
-    """E*D product (J*s)."""
-    return energy * delay
-
-
-def energy_delay_area_product(energy: float, delay: float,
-                              area: float) -> float:
-    """E*D*A product; area is in minimum-width transistor units."""
-    return energy * delay * area
-
-
 def logic_level(v: float, vdd: float) -> int:
     """Classify a settled voltage as 0 or 1; raises if indeterminate."""
     if v < 0.25 * vdd:

@@ -82,9 +82,6 @@ class Circuit:
         self.sources[idx] = wave
         return idx
 
-    def is_fixed(self, idx: int) -> bool:
-        return idx in self.sources
-
     # -- elements ---------------------------------------------------------
     def nmos(self, d: int, g: int, s: int, w: float | None = None,
              l: float | None = None, name: str = "") -> Mosfet:
@@ -113,29 +110,6 @@ class Circuit:
         el = Capacitor(n=n, c=c, name=name)
         self.capacitors.append(el)
         return el
-
-    # -- analysis helpers --------------------------------------------------
-    def node_capacitance(self, idx: int) -> float:
-        """Total lumped capacitance to ground seen at a node.
-
-        Sums explicit capacitors, gate capacitance of every MOSFET gated
-        at the node, and junction capacitance of every MOSFET with a
-        drain/source terminal at the node.
-        """
-        tech = self.tech
-        c = sum(cap.c for cap in self.capacitors if cap.n == idx)
-        for m in self.mosfets:
-            if m.g == idx:
-                c += tech.gate_cap(m.w, m.l)
-            if m.d == idx:
-                c += tech.junction_cap(m.w)
-            if m.s == idx:
-                c += tech.junction_cap(m.w)
-        return c
-
-    def total_transistor_area_units(self) -> float:
-        """Layout area in minimum-width transistor units (Betz metric)."""
-        return sum(self.tech.transistor_area_units(m.w) for m in self.mosfets)
 
     def stats(self) -> dict[str, int]:
         return {

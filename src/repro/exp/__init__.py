@@ -24,9 +24,9 @@ pickles its result back over its pipe.  The job server runs its
 requests through the same scheduler, fed from its queue.
 
 Every experiment driver in :mod:`repro.circuit.experiments` accepts a
-``runner=`` argument; with none given they consult ``REPRO_JOBS`` /
-``REPRO_NO_CACHE`` / ``REPRO_CACHE_DIR`` / ``REPRO_JOB_TIMEOUT`` via
-:func:`default_runner`.
+``runner=`` argument; with none given they use :func:`default_runner`,
+which :class:`repro.api.Config` builds from ``REPRO_JOBS`` /
+``REPRO_NO_CACHE`` / ``REPRO_CACHE_DIR`` / ``REPRO_JOB_TIMEOUT``.
 """
 
 from .cache import NullCache, ResultCache, default_cache_dir

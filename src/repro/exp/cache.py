@@ -7,16 +7,18 @@ processes can share one cache directory safely; a corrupt or
 half-written entry reads back as a miss.
 
 Warm-key lookups inside one session additionally hit a bytes-bounded
-LRU of pickled blobs (``REPRO_CACHE_LRU_MB``, default 64 MiB, ``0``
-disables): a repeat ``get`` skips the disk read entirely and only pays
-one ``pickle.loads``.  A blob enters the LRU on its first ``get``, not
+LRU of pickled blobs (``lru_mb``, default 64 MiB, ``0`` disables): a
+repeat ``get`` skips the disk read entirely and only pays one
+``pickle.loads``.  A blob enters the LRU on its first ``get``, not
 on ``put``, so a process that only writes results (the job server
 answers resubmits from its artifact store) holds none of them in
 memory.  The LRU stores *bytes*, not live objects, so a hit always
 returns a fresh value -- callers can never mutate each other's results
 through the cache.
 
-The default location is ``$REPRO_CACHE_DIR`` or ``~/.cache/repro-exp``.
+The default location is ``~/.cache/repro-exp``.  This module reads no
+environment variable: :class:`repro.api.Config` resolves
+``REPRO_CACHE_DIR`` and ``REPRO_CACHE_LRU_MB`` and passes them in.
 """
 
 from __future__ import annotations
@@ -31,46 +33,30 @@ from typing import Any, Iterator
 
 __all__ = ["ResultCache", "NullCache", "default_cache_dir"]
 
-_ENV_VAR = "REPRO_CACHE_DIR"
-ENV_LRU_MB = "REPRO_CACHE_LRU_MB"
 DEFAULT_LRU_MB = 64.0
 
 
 def default_cache_dir() -> Path:
-    env = os.environ.get(_ENV_VAR)
-    if env:
-        return Path(env)
     return Path.home() / ".cache" / "repro-exp"
-
-
-def _default_lru_bytes() -> int:
-    try:
-        mb = float(os.environ.get(ENV_LRU_MB, DEFAULT_LRU_MB))
-    except ValueError:
-        mb = DEFAULT_LRU_MB
-    return max(0, int(mb * 1024 * 1024))
 
 
 class ResultCache:
     """Content-addressed pickle store with hit/miss accounting.
 
-    ``lru_mb`` bounds the in-process blob LRU in MiB (``None`` reads
-    ``REPRO_CACHE_LRU_MB``; ``0`` disables the layer).  ``hits`` counts
-    every successful ``get`` regardless of which layer served it;
-    ``lru_hits`` counts the subset that never touched the disk.
+    ``lru_mb`` bounds the in-process blob LRU in MiB (``0`` disables
+    the layer).  ``hits`` counts every successful ``get`` regardless of
+    which layer served it; ``lru_hits`` counts the subset that never
+    touched the disk.
     """
 
     def __init__(self, root: str | os.PathLike | None = None, *,
-                 lru_mb: float | None = None):
+                 lru_mb: float = DEFAULT_LRU_MB):
         self.root = Path(root) if root is not None else default_cache_dir()
         self.hits = 0
         self.misses = 0
         self.puts = 0
         self.lru_hits = 0
-        if lru_mb is None:
-            self._lru_limit = _default_lru_bytes()
-        else:
-            self._lru_limit = max(0, int(lru_mb * 1024 * 1024))
+        self._lru_limit = max(0, int(lru_mb * 1024 * 1024))
         self._lru: OrderedDict[str, bytes] = OrderedDict()
         self._lru_bytes = 0
 

@@ -142,14 +142,14 @@ class _WorkerSettings:
 
     Forked workers inherit module globals, but ``spawn`` workers import
     :mod:`repro` afresh and would silently fall back to defaults --
-    dropping spans when the parent enabled tracing programmatically and
-    losing ``REPRO_*`` knobs set after interpreter start.  The parent
-    snapshots its state here and the child applies it first thing, so
-    worker spans and metrics are never dropped by the start method.
+    dropping spans when the parent enabled tracing programmatically.
+    The parent snapshots its state here and the child applies it first
+    thing, so worker spans and metrics are never dropped by the start
+    method.  Nothing is read from the environment: a task gets every
+    path and knob it needs in its spec.
     """
 
     trace_enabled: bool = True
-    env: dict[str, str] | None = None
     #: Send each span open/close over the pipe while the job runs: the
     #: parent listens (:attr:`_JobSource.live_spans`, or a live hub).
     live_spans: bool = False
@@ -157,32 +157,15 @@ class _WorkerSettings:
     #: runs; ``None`` while the live telemetry bus is off.
     heartbeat_s: float | None = None
 
-    #: Environment knobs snapshotted into every worker.
-    FORWARDED = (obs.ENV_TRACE, obs.ENV_RUN_DB, "REPRO_CACHE_DIR")
-
     @classmethod
     def snapshot(cls, *, live_spans: bool = False,
                  heartbeat_s: float | None = None) -> "_WorkerSettings":
-        return cls(trace_enabled=obs.enabled(),
-                   env={k: os.environ[k] for k in cls.FORWARDED
-                        if k in os.environ},
-                   live_spans=live_spans, heartbeat_s=heartbeat_s)
+        return cls(trace_enabled=obs.enabled(), live_spans=live_spans,
+                   heartbeat_s=heartbeat_s)
 
     def apply(self) -> None:
-        """Make the worker's state match the snapshot exactly.
-
-        Forwarded keys are overwritten (and removed when absent from
-        the snapshot) rather than defaulted: a persistent pool worker
-        outlives many batches, so leftovers from an earlier batch must
-        not shadow the parent's current environment.
-        """
+        """Make the worker's state match the snapshot."""
         obs.set_enabled(self.trace_enabled)
-        env = self.env or {}
-        for k in self.FORWARDED:
-            if k in env:
-                os.environ[k] = env[k]
-            else:
-                os.environ.pop(k, None)
 
 
 @dataclass
@@ -293,7 +276,6 @@ class ParallelRunner:
     ``jobs``          concurrent workers; ``<= 0`` means ``os.cpu_count()``.
     ``cache``         a :class:`ResultCache` to share, or ``None`` to build
                       one from ``use_cache`` (``NullCache`` when false).
-    ``code_version``  override the package digest in cache keys (tests).
     ``timeout_s``     default per-job timeout for specs that set none;
                       ``None`` or non-positive means unlimited.
     ``backoff_s``     base of the exponential retry backoff: attempt
@@ -315,7 +297,6 @@ class ParallelRunner:
     def __init__(self, jobs: int = 1, *,
                  cache: ResultCache | None = None,
                  use_cache: bool = True,
-                 code_version: str | None = None,
                  timeout_s: float | None = None,
                  backoff_s: float = 0.25,
                  start_method: str | None = None):
@@ -325,7 +306,6 @@ class ParallelRunner:
         if cache is None:
             cache = ResultCache() if use_cache else NullCache()
         self.cache = cache
-        self.code_version = code_version
         # An explicit 0 lets callers disable a timeout.
         if timeout_s is not None and timeout_s <= 0:
             timeout_s = None
@@ -336,7 +316,7 @@ class ParallelRunner:
     # ------------------------------------------------------------------
     def run(self, specs: Sequence[JobSpec]) -> list[JobResult]:
         """Execute all jobs; results align one-to-one with ``specs``."""
-        keys = [spec.key(self.code_version) for spec in specs]
+        keys = [spec.key() for spec in specs]
         results: list[JobResult | None] = [None] * len(specs)
         lru_hits_before = getattr(self.cache, "lru_hits", 0)
 

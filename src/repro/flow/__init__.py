@@ -8,8 +8,7 @@ import importlib
 
 #: Public name -> the submodule that defines it.
 _SOURCES = {
-    **dict.fromkeys(("DesignFlow", "FlowOptions", "FlowResult",
-                     "run_flow", "run_flow_from_logic"), "flow"),
+    **dict.fromkeys(("DesignFlow", "FlowOptions", "FlowResult"), "flow"),
     **dict.fromkeys(("FlowGui", "render_html", "render_text"), "gui"),
 }
 

@@ -31,11 +31,15 @@ Every subcommand follows one exit-code convention: 0 success,
 1 gated failure (failed syntax check, QoR regression, failed job),
 2 usage or data error (bad arguments, unreadable input, unknown id).
 
+Every command resolves its caches, stores and trace path in one
+place: :class:`repro.api.Config`, with the flags a command takes over
+the ``REPRO_*`` environment over the built-in defaults.
+
 ``vpr``/``flow`` cache every stage output content-addressed (input
 hash + options + code version); ``exp`` fans the independent
 measurements of one table/figure over a worker pool with the same
-cache.  ``--no-cache`` forces recomputation, ``--cache-dir`` (or
-``REPRO_CACHE_DIR``) relocates the store.
+cache.  ``--no-cache`` (or ``REPRO_NO_CACHE``) forces recomputation,
+``--cache-dir`` (or ``REPRO_CACHE_DIR``) relocates the store.
 
 ``vpr``/``flow``/``exp`` also accept ``--trace run.jsonl`` (default
 from ``REPRO_TRACE``): the run records a span per stage/job -- wall
@@ -43,12 +47,12 @@ time, cache hit/miss, QoR numbers -- which ``trace`` and ``stats``
 render afterwards (``trace --format chrome`` converts to Chrome
 trace-event JSON for https://ui.perfetto.dev).
 
-With ``--live`` (or ``REPRO_TELEMETRY=1``) the same three commands
-publish the live telemetry bus (:mod:`repro.obs.live`) while they run:
-``repro-flow top`` in another terminal shows queue depth, per-worker
-jobs/ages and throughput of the in-flight sweep.  For a Prometheus
-scrape, submit the work to ``repro-flow serve`` and scrape its ``GET
-/metrics``.
+With ``REPRO_TELEMETRY=1`` (or a directory path) the pooled sweeps of
+``exp`` publish the live telemetry bus (:mod:`repro.obs.live`) while
+they run: ``repro-flow top`` in another terminal shows queue depth,
+per-worker jobs/ages and throughput of the in-flight sweep.  For a
+Prometheus scrape, submit the work to ``repro-flow serve`` and scrape
+its ``GET /metrics``.
 
 The same three commands append every successful run's full metric set
 to the run DB (``--run-db``, ``$REPRO_RUN_DB`` or
@@ -63,7 +67,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -103,13 +106,6 @@ def _add_trace_arg(p) -> None:
                         "/ 'stats')")
 
 
-def _add_live_arg(p) -> None:
-    p.add_argument("--live", action="store_true",
-                   help="publish live telemetry while running (same as "
-                        "REPRO_TELEMETRY=1); observe with 'repro-flow "
-                        "top' from another terminal")
-
-
 def _add_rundb_path_arg(p) -> None:
     p.add_argument("--run-db", dest="run_db", default=None,
                    metavar="DB",
@@ -141,6 +137,7 @@ def _config_from_args(args) -> api.Config:
         job_timeout_s=UNSET if timeout is None else timeout,
         trace=getattr(args, "trace", None) or UNSET,
         run_db=getattr(args, "run_db", None) or UNSET,
+        artifact_dir=getattr(args, "artifact_dir", None) or UNSET,
     )
 
 
@@ -204,7 +201,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--min-channel-width", action="store_true")
     _add_cache_args(p)
     _add_trace_arg(p)
-    _add_live_arg(p)
     _add_rundb_args(p)
 
     p = sub.add_parser("flow", help="run the complete VHDL-to-bitstream "
@@ -217,7 +213,6 @@ def main(argv: list[str] | None = None) -> int:
                    help="write the GUI page here")
     _add_cache_args(p)
     _add_trace_arg(p)
-    _add_live_arg(p)
     _add_rundb_args(p)
 
     p = sub.add_parser("exp", help="run a batch experiment (table or "
@@ -236,7 +231,6 @@ def main(argv: list[str] | None = None) -> int:
                    help="write the result rows as JSON here")
     _add_cache_args(p)
     _add_trace_arg(p)
-    _add_live_arg(p)
     _add_rundb_args(p)
 
     p = sub.add_parser("chipdb", help="dump or hash the chip database "
@@ -296,7 +290,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("input", help="JSONL trace written by --trace")
 
     p = sub.add_parser("top", help="live view of an in-flight sweep "
-                                   "(run it with --live)")
+                                   "(run it with REPRO_TELEMETRY=1)")
     p.add_argument("--dir", default=None,
                    help="live snapshot directory (default: the "
                         "REPRO_TELEMETRY path, else ~/.cache/repro/"
@@ -436,29 +430,24 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _run_command(args, parser) -> int:
-    if getattr(args, "live", False) and not obs.live.enabled():
-        # Same switch the environment flips; a REPRO_TELEMETRY dir
-        # already in force keeps its custom location.
-        os.environ[obs.live.ENV_TELEMETRY] = "1"
-
-    trace_path = (getattr(args, "trace", None)
-                  or os.environ.get(obs.ENV_TRACE))
+    config = _config_from_args(args)
+    trace_path = config.trace
     record = (args.cmd in ("vpr", "flow", "exp")
               and not getattr(args, "no_run_db", False))
     if not trace_path and not record:
-        return _dispatch(args, parser)
+        return _dispatch(args, parser, config)
 
     ms = obs.MetricSet()
     with obs.metrics.collect(ms):
         if trace_path:
             with obs.capture() as tr:
-                rc = _dispatch(args, parser)
+                rc = _dispatch(args, parser, config)
             n = tr.write_jsonl(trace_path)
             print(f"# wrote {n} spans to {trace_path}", file=sys.stderr)
         else:
-            rc = _dispatch(args, parser)
+            rc = _dispatch(args, parser, config)
     if record and rc == 0 and len(ms):
-        db = obs.RunDB(getattr(args, "run_db", None))
+        db = obs.RunDB(config.run_db)
         try:
             run_id = db.record_run(
                 getattr(args, "run_label", None) or args.cmd, ms,
@@ -469,7 +458,7 @@ def _run_command(args, parser) -> int:
     return rc
 
 
-def _dispatch(args, parser) -> int:
+def _dispatch(args, parser, config: api.Config) -> int:
     if args.cmd in ("trace", "stats"):
         try:
             records = obs.load_jsonl(args.input)
@@ -497,13 +486,13 @@ def _dispatch(args, parser) -> int:
         return _run_top(args)
 
     if args.cmd == "history":
-        return _run_history(args)
+        return _run_history(args, config)
 
     if args.cmd == "compare":
-        return _run_compare(args)
+        return _run_compare(args, config)
 
     if args.cmd == "report":
-        return _run_report(args)
+        return _run_report(args, config)
 
     # Each tool loads in the branch that runs it, so no other command
     # pays for its import.
@@ -567,26 +556,23 @@ def _dispatch(args, parser) -> int:
 
     if args.cmd == "vpr":
         from ..netlist.blif import load_blif
-        from .flow import FlowOptions, _run_flow_from_logic
+        from .flow import DesignFlow
         arch = _arch_from_args(args)
         logic = load_blif(args.input)
-        options = FlowOptions(arch=arch, seed=args.seed,
-                              min_channel_width=args.min_channel_width,
-                              work_dir=args.workdir,
-                              use_cache=not args.no_cache,
-                              cache_dir=args.cache_dir)
-        result = _run_flow_from_logic(logic, options)
+        options = config.flow_options(
+            arch=arch, seed=args.seed,
+            min_channel_width=args.min_channel_width,
+            work_dir=args.workdir)
+        result = DesignFlow(options).run(logic)
         print(json.dumps(result.summary(), indent=2))
         return 0
 
     if args.cmd == "flow":
-        from .flow import DesignFlow, FlowOptions
+        from .flow import DesignFlow
         from .gui import FlowGui, render_html
-        arch = _arch_from_args(args)
-        options = FlowOptions(arch=arch, seed=args.seed,
-                              work_dir=args.workdir,
-                              use_cache=not args.no_cache,
-                              cache_dir=args.cache_dir)
+        options = config.flow_options(arch=_arch_from_args(args),
+                                      seed=args.seed,
+                                      work_dir=args.workdir)
         flow = DesignFlow(options)
         gui = FlowGui()
         result = gui.run(flow, Path(args.input).read_text())
@@ -597,7 +583,7 @@ def _dispatch(args, parser) -> int:
         return 0
 
     if args.cmd == "exp":
-        return _run_exp(args)
+        return _run_exp(args, config)
 
     if args.cmd == "chipdb":
         return _run_chipdb(args)
@@ -606,10 +592,10 @@ def _dispatch(args, parser) -> int:
         return _run_disasm(args)
 
     if args.cmd == "cache":
-        return _run_cache(args)
+        return _run_cache(args, config)
 
     if args.cmd == "serve":
-        return _run_serve(args)
+        return _run_serve(args, config)
 
     if args.cmd in ("submit", "status", "fetch"):
         return _run_client(args)
@@ -635,7 +621,7 @@ def _run_top(args) -> int:
     if snap is None and args.once:
         where = Path(args.dir) if args.dir else live.live_dir()
         print(f"error: no live sessions under {where} (start a sweep "
-              f"with --live or REPRO_TELEMETRY=1)", file=sys.stderr)
+              f"with REPRO_TELEMETRY=1)", file=sys.stderr)
         return 2
     if args.once:
         if args.as_json:
@@ -671,9 +657,9 @@ _HISTORY_COLS = (("flow.critical_path_ns", "cp(ns)"),
                  ("flow.channel_width", "W"))
 
 
-def _run_history(args) -> int:
+def _run_history(args, config: api.Config) -> int:
     """``repro-flow history``: the recorded-run table or one trend."""
-    db = obs.RunDB(args.run_db)
+    db = obs.RunDB(config.run_db)
     try:
         if args.metric:
             series = db.history(args.metric, label=args.label,
@@ -716,13 +702,13 @@ def _run_history(args) -> int:
         db.close()
 
 
-def _run_compare(args) -> int:
+def _run_compare(args, config: api.Config) -> int:
     """``repro-flow compare``: run-vs-run or run-vs-golden deltas.
 
     Exit codes: 0 no gated regression, 1 gated regression(s),
     2 usage/data error (unknown run, missing golden row, ...).
     """
-    db = obs.RunDB(args.run_db)
+    db = obs.RunDB(config.run_db)
     try:
         if args.against_golden:
             if len(args.runs) > 1:
@@ -767,9 +753,9 @@ def _run_compare(args) -> int:
         db.close()
 
 
-def _run_report(args) -> int:
+def _run_report(args, config: api.Config) -> int:
     """``repro-flow report``: write the self-contained HTML dashboard."""
-    db = obs.RunDB(args.run_db)
+    db = obs.RunDB(config.run_db)
     try:
         if len(db) == 0:
             print(f"error: no runs recorded in {db.path} (run "
@@ -793,10 +779,10 @@ def _human_bytes(n: float) -> str:
     return f"{n:.1f} GiB"
 
 
-def _run_cache(args) -> int:
+def _run_cache(args, config: api.Config) -> int:
     """``repro-flow cache``: stats for / prune the on-disk result cache."""
     import time as _time
-    cache = ResultCache(args.cache_dir)
+    cache = ResultCache(config.cache_dir)
     if args.action == "stats":
         entries = cache.entries()
         total = sum(size for _, size, _ in entries)
@@ -887,19 +873,17 @@ def _run_disasm(args) -> int:
     return 0
 
 
-def _run_serve(args) -> int:
+def _run_serve(args, config: api.Config) -> int:
     """``repro-flow serve``: start the flow-as-a-service daemon."""
     from ..api.config import job_timeout_from_env
     from ..serve import DEFAULT_PORT, JobServer
     from ..serve.jobs import DEFAULT_TENANT_QUOTA
     from ..serve.server import DEFAULT_JOB_TIMEOUT_S
-    config = replace(_config_from_args(args),
-                     job_timeout_s=job_timeout_from_env(
-                         DEFAULT_JOB_TIMEOUT_S))
+    config = replace(config, job_timeout_s=job_timeout_from_env(
+        DEFAULT_JOB_TIMEOUT_S))
     server = JobServer(
         config, host=args.host,
         port=DEFAULT_PORT if args.port is None else args.port,
-        artifact_dir=args.artifact_dir,
         quota=(args.quota if args.quota is not None
                else DEFAULT_TENANT_QUOTA))
 
@@ -991,9 +975,8 @@ def _run_client(args) -> int:
         return EXIT_USAGE
 
 
-def _run_exp(args) -> int:
+def _run_exp(args, config: api.Config) -> int:
     """``repro-flow exp``: one table/figure through the typed facade."""
-    config = _config_from_args(args)
     runner = config.runner()
     result = api.submit(
         api.JobRequest(kind="experiment", experiment=args.what,

@@ -27,7 +27,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .. import obs
@@ -37,6 +37,7 @@ from ..bitgen import generate_bitstream
 from ..bitgen.chipdb import build_chipdb, chipdb_schema_hash
 from ..exp import (NullCache, ResultCache, canonical_json,
                    default_cache_dir, repro_code_version)
+from ..exp.cache import DEFAULT_LRU_MB
 from ..hdl.parser import check_syntax
 from ..hdl.synth import synthesize
 from ..netlist.blif import write_blif
@@ -50,7 +51,7 @@ from ..synth import optimize_and_map
 from ..timing import TimingReport, analyze_timing
 from ..tools import druid, structural_to_logic
 
-__all__ = ["FlowOptions", "FlowResult", "DesignFlow", "run_flow"]
+__all__ = ["FlowOptions", "FlowResult", "DesignFlow"]
 
 
 @dataclass(frozen=True)
@@ -65,8 +66,8 @@ class FlowOptions:
     f_clk_hz: float | None = None     # None -> run at fmax
     work_dir: str | None = None       # write artifacts here if set
     use_cache: bool = True            # content-addressed stage cache
-    cache_dir: str | None = None      # None -> REPRO_CACHE_DIR default
-    cache_lru_mb: float | None = None  # None -> REPRO_CACHE_LRU_MB
+    cache_dir: str | None = None      # None -> ~/.cache/repro-exp
+    cache_lru_mb: float = DEFAULT_LRU_MB  # in-process LRU bound (MiB)
 
 
 @dataclass
@@ -119,12 +120,10 @@ class FlowResult:
 #: (parameter sweeps, re-runs inside one session) straight from memory
 #: -- the disk store already made concurrent sharing safe, so this only
 #: changes where warm reads are served from.
-_STAGE_CACHES: dict[tuple[str, float | None], ResultCache] = {}
+_STAGE_CACHES: dict[tuple[str, float], ResultCache] = {}
 
 
-def _stage_cache(cache_dir, lru_mb: float | None = None) -> ResultCache:
-    # Resolve the root eagerly: with no explicit dir the default
-    # follows $REPRO_CACHE_DIR, which may differ between flows.
+def _stage_cache(cache_dir, lru_mb: float) -> ResultCache:
     root = Path(cache_dir) if cache_dir else default_cache_dir()
     key = (str(root.resolve()), lru_mb)
     cache = _STAGE_CACHES.get(key)
@@ -134,7 +133,12 @@ def _stage_cache(cache_dir, lru_mb: float | None = None) -> ResultCache:
 
 
 class DesignFlow:
-    """Stage-by-stage driver with timing and artifact output."""
+    """Stage-by-stage driver with timing and artifact output.
+
+    ``DesignFlow(options).run(design)`` is the flow's one entry point:
+    ``design`` is VHDL text or a BLIF-level
+    :class:`~repro.netlist.logic.LogicNetwork`.
+    """
 
     #: GUI stage names (Fig. 12).
     STAGES = ["File Upload", "Synthesis", "Format Translation",
@@ -334,15 +338,23 @@ class DesignFlow:
                    json.dumps(self.result.power.stats(), indent=2))
 
     def program(self) -> bytes:
-        """Stage 6: DAGGER bitstream generation (with readback check)."""
-        db = build_chipdb(self.options.arch,
-                          self.result.placement.grid_size)
+        """Stage 6: DAGGER bitstream generation (with readback check).
+
+        The fabric is the one the design was routed on: when routing
+        fell back to a wider channel than the architecture's, the chip
+        database (and the bitstream header) carry the routed width.
+        """
+        arch = self.options.arch
+        width = self.result.routing.channel_width
+        if width > arch.channel_width:
+            arch = replace(arch, channel_width=width)
+        db = build_chipdb(arch, self.result.placement.grid_size)
 
         def run():
             return generate_bitstream(
                 self.result.mapped, self.result.clustered,
                 self.result.placement, self.result.routing,
-                self.result.rr_graph, self.options.arch, db=db)
+                self.result.rr_graph, arch, db=db)
         # The concrete chipdb content hash keys the stage: two archs
         # (or two chipdb builds) that lay out a single fuse differently
         # can never share a cached bitstream.
@@ -378,11 +390,21 @@ class DesignFlow:
                 ms.publish(metric, v)
 
     # -- one-shot -----------------------------------------------------------
-    def run(self, vhdl_text: str) -> FlowResult:
-        """Run all six stages in order."""
+    def run(self, design: str | LogicNetwork) -> FlowResult:
+        """Run every stage in order on VHDL text or a BLIF-level network.
+
+        A :class:`LogicNetwork` enters at translation: the VHDL parser,
+        DIVINER, DRUID and E2FMT have nothing to do, and the stage keys
+        chain on the network's BLIF text instead of the VHDL source.
+        """
         with obs.span("flow.run") as sp:
-            self.upload(vhdl_text)
-            self.synthesis()
+            if isinstance(design, LogicNetwork):
+                self.result.name = design.name
+                self.result.logic = design
+                self._seed_fingerprint("blif", write_blif(design))
+            else:
+                self.upload(design)
+                self.synthesis()
             self.translation()
             self.place_and_route()
             self.power_estimation()
@@ -390,56 +412,6 @@ class DesignFlow:
             sp.set_attr(**self.result.summary())
         self.publish_metrics()
         return self.result
-
-
-def _run_flow(vhdl_text: str,
-              options: FlowOptions | None = None) -> FlowResult:
-    """VHDL text in, :class:`FlowResult` out (internal entrypoint)."""
-    return DesignFlow(options).run(vhdl_text)
-
-
-def _run_flow_from_logic(logic: LogicNetwork,
-                         options: FlowOptions | None = None) -> FlowResult:
-    """Run the flow starting from a BLIF-level network (skips HDL)."""
-    flow = DesignFlow(options)
-    with obs.span("flow.run") as sp:
-        flow.result.name = logic.name
-        flow.result.logic = logic
-        flow._seed_fingerprint("blif", write_blif(logic))
-        flow.translation()
-        flow.place_and_route()
-        flow.power_estimation()
-        flow.program()
-        sp.set_attr(**flow.result.summary())
-    flow.publish_metrics()
-    return flow.result
-
-
-# ---------------------------------------------------------------------------
-# Deprecated public entrypoints.  Submit a JobRequest(kind="flow")
-# through `repro.api.submit` instead; these shims keep existing callers
-# working unchanged.
-
-def run_flow(vhdl_text: str,
-             options: FlowOptions | None = None) -> FlowResult:
-    """Deprecated alias of the flow behind ``repro.api.submit``."""
-    import warnings
-    warnings.warn(
-        "repro.flow.run_flow() is deprecated; submit a "
-        "JobRequest(kind='flow') through repro.api.submit() instead",
-        DeprecationWarning, stacklevel=2)
-    return _run_flow(vhdl_text, options)
-
-
-def run_flow_from_logic(logic: LogicNetwork,
-                        options: FlowOptions | None = None) -> FlowResult:
-    """Deprecated alias of the flow behind ``repro.api.submit``."""
-    import warnings
-    warnings.warn(
-        "repro.flow.run_flow_from_logic() is deprecated; submit a "
-        "JobRequest(kind='flow', blif=...) through repro.api.submit() "
-        "instead", DeprecationWarning, stacklevel=2)
-    return _run_flow_from_logic(logic, options)
 
 
 def _format_place(pl: Placement) -> str:

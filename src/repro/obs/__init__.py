@@ -24,7 +24,7 @@ Per-stage CPU time and peak RSS ride along via :func:`metrics.profiled`.
 
 **Run history** (:mod:`.rundb`, :mod:`.compare`, :mod:`.dashboard`):
 every CLI flow/vpr/exp invocation appends its metric set to a SQLite
-run DB (``~/.cache/repro/runs.db``, ``--run-db``, or ``$REPRO_RUN_DB``)
+run DB (``--run-db``, ``$REPRO_RUN_DB`` or ``~/.cache/repro/runs.db``)
 together with git revision, code digest, seed and architecture;
 ``repro-flow history`` lists it, ``repro-flow compare A B`` /
 ``--against-golden`` classifies per-metric deltas against tolerance
@@ -60,13 +60,13 @@ from .metrics import (MetricRegistry, MetricSet, MetricSpec, REGISTRY,
 from .report import (TraceReadError, aggregate, build_tree,
                      format_seconds, load_jsonl, render_stats,
                      render_tree)
-from .rundb import ENV_RUN_DB, RunDB, RunRow, default_db_path
-from .trace import (ENV_TRACE, NOOP_SPAN, Span, Tracer, adopt, capture,
+from .rundb import RunDB, RunRow, default_db_path
+from .trace import (NOOP_SPAN, Span, Tracer, adopt, capture,
                     current_span, default_tracer, emit, enabled, gauge,
                     incr, set_enabled, span, tracer)
 
 __all__ = [
-    "ENV_RUN_DB", "ENV_TELEMETRY", "ENV_TRACE", "NOOP_SPAN",
+    "ENV_TELEMETRY", "NOOP_SPAN",
     "MetricDelta", "MetricRegistry", "MetricSet", "MetricSpec",
     "REGISTRY", "RunDB", "RunRow", "Span", "TelemetryEmitter",
     "TelemetryHub", "TraceReadError", "Tracer",

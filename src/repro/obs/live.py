@@ -36,8 +36,8 @@ publishes them:
   timeout fires.
 
 The whole bus is opt-in via ``REPRO_TELEMETRY`` (truthy, or a
-directory path for the snapshots), ``--live`` or ``Config.telemetry``,
-and zero-cost when off: no hub, no snapshot files, and no emitter
+directory path for the snapshots) or ``Config.telemetry``, and
+zero-cost when off: no hub, no snapshot files, and no emitter
 thread or span hook in the workers of a sweep -- each dispatch tells
 its worker whether the parent listens.
 ``benchmarks/test_trace_overhead.py`` holds the enabled path to the
@@ -58,7 +58,7 @@ from . import metrics as metrics_mod
 
 __all__ = [
     "ENV_HB_INTERVAL", "ENV_TELEMETRY", "STALL_FACTOR", "TelemetryHub",
-    "TelemetryEmitter", "enabled", "hb_interval", "job_id",
+    "TelemetryEmitter", "hb_interval", "job_id",
     "live_dir", "load_sessions", "prometheus_text", "render_top",
     "session_hub", "shutdown", "snapshot_exposition",
 ]
@@ -78,11 +78,6 @@ def _config():
     # Late import: repro.api imports repro.obs.
     from ..api.config import Config
     return Config.from_env()
-
-
-def enabled() -> bool:
-    """Is the live telemetry bus switched on for this process?"""
-    return _config().telemetry
 
 
 def live_dir() -> Path:

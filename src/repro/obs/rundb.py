@@ -13,8 +13,9 @@ DB is a faithful QoR timeline of the repository:
     repro-flow compare --against-golden    # gate against frozen QoR
     repro-flow report --html qor.html      # sparkline dashboard
 
-The default location is ``$REPRO_RUN_DB`` or ``~/.cache/repro/runs.db``
-(``--run-db`` on the CLI).  Writes are transactional and guarded by
+The default location is ``~/.cache/repro/runs.db``; the CLI passes
+``--run-db`` or ``$REPRO_RUN_DB`` instead, as resolved by
+:class:`repro.api.Config`.  Writes are transactional and guarded by
 SQLite's own locking plus a generous busy timeout, so concurrent runs
 (e.g. a benchmark session fanning workers) append safely.
 """
@@ -32,10 +33,7 @@ from typing import Any, Iterable
 
 from .metrics import MetricSet
 
-__all__ = ["ENV_RUN_DB", "RunDB", "RunRow", "default_db_path", "git_rev"]
-
-#: Environment variable overriding the run DB location.
-ENV_RUN_DB = "REPRO_RUN_DB"
+__all__ = ["RunDB", "RunRow", "default_db_path", "git_rev"]
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS runs (
@@ -68,9 +66,6 @@ CREATE TABLE IF NOT EXISTS metrics (
 
 
 def default_db_path() -> Path:
-    env = os.environ.get(ENV_RUN_DB)
-    if env:
-        return Path(env)
     return Path.home() / ".cache" / "repro" / "runs.db"
 
 

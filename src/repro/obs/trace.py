@@ -34,14 +34,11 @@ import time
 from typing import Any, Iterable, Iterator
 
 __all__ = [
-    "ENV_TRACE", "NOOP_SPAN", "Span", "Tracer", "adopt", "capture",
+    "NOOP_SPAN", "Span", "Tracer", "adopt", "capture",
     "current_span", "default_tracer", "emit", "enabled", "gauge",
     "incr", "set_enabled", "set_span_listener", "span",
     "span_listener", "tracer",
 ]
-
-#: Environment variable the CLI honours as a default trace output path.
-ENV_TRACE = "REPRO_TRACE"
 
 #: Hard cap on records held by one tracer (runaway-loop backstop).
 MAX_RECORDS = 100_000

@@ -12,6 +12,10 @@ Layout mirrors the engine's :class:`~repro.exp.cache.ResultCache`
 stored as canonical JSON, not pickles: artifacts are served verbatim
 over HTTP to arbitrary clients, and a JSON store can never execute
 anything on load.
+
+The default root is ``~/.cache/repro/artifacts``; the job server
+passes ``Config.artifact_dir`` (``--artifact-dir`` or
+``$REPRO_ARTIFACT_DIR``) instead.
 """
 
 from __future__ import annotations
@@ -38,9 +42,6 @@ def is_artifact_hash(value: str) -> bool:
 
 
 def default_artifact_dir() -> Path:
-    env = os.environ.get("REPRO_ARTIFACT_DIR")
-    if env:
-        return Path(env)
     return Path.home() / ".cache" / "repro" / "artifacts"
 
 

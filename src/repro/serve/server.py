@@ -62,7 +62,6 @@ import json
 import multiprocessing
 import os
 import secrets
-import signal
 import sys
 import threading
 import time
@@ -237,12 +236,11 @@ class JobServer:
 
     def __init__(self, config: api.Config | None = None, *,
                  host: str = "127.0.0.1", port: int = DEFAULT_PORT,
-                 artifact_dir: str | None = None,
                  quota: int = DEFAULT_TENANT_QUOTA):
         self.config = config if config is not None else api.Config.from_env()
         self.host = host
         self.port = port
-        self.artifacts = ArtifactStore(artifact_dir)
+        self.artifacts = ArtifactStore(self.config.artifact_dir)
         self.queue = TenantQueue(quota=quota)
         self.store = QueueStore(self.config.run_db)
         self.hub = live_mod.TelemetryHub.for_config(self.config)
@@ -315,21 +313,6 @@ class JobServer:
             await self._server.wait_closed()
         self.hub.stop()
         self.store.close()
-
-    async def run_until_drained(self) -> None:
-        """Serve until :meth:`begin_drain` (e.g. via SIGTERM)."""
-        await self.start()
-        loop = asyncio.get_running_loop()
-        for sig in (signal.SIGTERM, signal.SIGINT):
-            with contextlib.suppress(NotImplementedError, RuntimeError):
-                loop.add_signal_handler(sig, self.begin_drain)
-        while not self.draining:
-            await asyncio.sleep(0.1)
-        await self.stop()
-
-    def serve_forever(self) -> None:
-        """Blocking entrypoint used by ``repro-flow serve``."""
-        asyncio.run(self.run_until_drained())
 
     # -- executor thread -----------------------------------------------
     def _executor_loop(self) -> None:

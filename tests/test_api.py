@@ -1,5 +1,5 @@
 """The typed submission API: Config precedence, JobRequest schema,
-the submit facade, and the deprecation shims over the old entrypoints."""
+and the submit facade over the drivers and the flow."""
 
 import dataclasses
 import json
@@ -21,7 +21,7 @@ class TestConfigPrecedence:
     def test_builtin_defaults(self, monkeypatch):
         for name in ("REPRO_JOBS", "REPRO_NO_CACHE", "REPRO_CACHE_DIR",
                      "REPRO_CACHE_LRU_MB", "REPRO_JOB_TIMEOUT",
-                     "REPRO_TRACE", "REPRO_RUN_DB"):
+                     "REPRO_TRACE", "REPRO_RUN_DB", "REPRO_ARTIFACT_DIR"):
             monkeypatch.delenv(name, raising=False)
         cfg = Config.from_env()
         assert cfg.jobs == 1
@@ -33,17 +33,24 @@ class TestConfigPrecedence:
         assert cfg.hb_interval_s == 0.5
         assert cfg.trace is None
         assert cfg.run_db is None
+        assert cfg.artifact_dir is None
 
     def test_env_beats_default(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "3")
         monkeypatch.setenv("REPRO_NO_CACHE", "1")
         monkeypatch.setenv("REPRO_JOB_TIMEOUT", "12.5")
         monkeypatch.setenv("REPRO_CACHE_LRU_MB", "8")
+        monkeypatch.setenv("REPRO_HB_INTERVAL", "0.25")
+        monkeypatch.setenv("REPRO_RUN_DB", "/tmp/r.db")
+        monkeypatch.setenv("REPRO_ARTIFACT_DIR", "/tmp/artifacts")
         cfg = Config.from_env()
         assert cfg.jobs == 3
         assert cfg.cache is False
         assert cfg.job_timeout_s == 12.5
         assert cfg.cache_lru_mb == 8.0
+        assert cfg.hb_interval_s == 0.25
+        assert cfg.run_db == "/tmp/r.db"
+        assert cfg.artifact_dir == "/tmp/artifacts"
 
     def test_explicit_beats_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "3")
@@ -60,37 +67,28 @@ class TestConfigPrecedence:
     def test_invalid_env_falls_back(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "not-a-number")
         monkeypatch.setenv("REPRO_JOB_TIMEOUT", "-3")
+        monkeypatch.setenv("REPRO_CACHE_LRU_MB", "nope")
         cfg = Config.from_env()
         assert cfg.jobs == 1
         assert cfg.job_timeout_s is None
+        assert cfg.cache_lru_mb == 64.0
 
     def test_unknown_field_raises(self):
         with pytest.raises(TypeError, match="jbos"):
             Config.from_env(jbos=2)
 
     def test_telemetry_env_forms(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TELEMETRY", "1")
-        cfg = Config.from_env()
-        assert cfg.telemetry is True and cfg.telemetry_dir is None
+        for raw in ("1", "true", "yes", "on", "ON"):
+            monkeypatch.setenv("REPRO_TELEMETRY", raw)
+            cfg = Config.from_env()
+            assert cfg.telemetry is True and cfg.telemetry_dir is None
         monkeypatch.setenv("REPRO_TELEMETRY", "/tmp/livesnaps")
         cfg = Config.from_env()
         assert cfg.telemetry is True
         assert cfg.telemetry_dir == "/tmp/livesnaps"
-        monkeypatch.setenv("REPRO_TELEMETRY", "0")
-        assert Config.from_env().telemetry is False
-
-    def test_to_env_round_trips(self, monkeypatch):
-        cfg = Config(jobs=4, cache=False, job_timeout_s=9.0,
-                     hb_interval_s=0.25, cache_lru_mb=16.0,
-                     run_db="/tmp/r.db")
-        for name in list(cfg.to_env()):
-            monkeypatch.delenv(name, raising=False)
-        for name, value in cfg.to_env().items():
-            monkeypatch.setenv(name, value)
-        assert Config.from_env() == cfg
-
-    def test_to_env_only_non_defaults(self):
-        assert Config().to_env() == {}
+        for raw in ("", "0", "false", "no", "off", "OFF"):
+            monkeypatch.setenv("REPRO_TELEMETRY", raw)
+            assert Config.from_env().telemetry is False
 
     def test_runner_resolves_from_config_not_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "9")
@@ -199,10 +197,11 @@ class TestJobRequest:
 
 
 # ---------------------------------------------------------------------------
-# The submit facade and the deprecation shims
+# The submit facade over the drivers and the flow
 # ---------------------------------------------------------------------------
 
 DT = 2e-12
+TINY_BLIF = ".model tiny\n.inputs a\n.outputs y\n.names a y\n1 1\n.end\n"
 
 
 class TestSubmitFacade:
@@ -223,29 +222,35 @@ class TestSubmitFacade:
                                   params={"n": -1}))
 
     def test_experiment_submit_matches_legacy(self):
+        from repro.circuit.experiments import run_table2
         result = api.submit(JobRequest(kind="experiment",
                                        experiment="table2", dt=DT))
         assert result.kind == "experiment"
-        with pytest.warns(DeprecationWarning, match="run_table2"):
-            from repro.circuit.experiments import run_table2
-            legacy = run_table2(dt=DT)
+        direct = run_table2(dt=DT)
         assert result.value["experiment"] == "table2"
-        assert result.value["rows"] == pytest.approx(legacy)
+        assert result.value["rows"] == pytest.approx(direct)
 
     def test_flow_submit_matches_legacy(self):
-        from tests.test_flow import COUNTER_VHDL
-        result = api.submit(JobRequest(kind="flow", vhdl=COUNTER_VHDL))
-        assert result.kind == "flow"
-        summary = result.value["summary"]
-        assert summary["circuit"] == "counter"
-        with pytest.warns(DeprecationWarning, match="run_flow"):
-            from repro.flow import run_flow
-            legacy = run_flow(COUNTER_VHDL)
-        assert summary == json.loads(
-            json.dumps(legacy.summary()))   # JSON-safe comparison
         import hashlib
-        assert result.value["bitstream_sha256"] == \
-            hashlib.sha256(legacy.bitstream).hexdigest()
+        from repro.flow import DesignFlow
+        from repro.netlist.blif import parse_blif
+        from tests.test_flow import COUNTER_VHDL
+        # VHDL text and a parsed BLIF network take the one entry point.
+        for name, request, design in (
+                ("counter", JobRequest(kind="flow", vhdl=COUNTER_VHDL),
+                 COUNTER_VHDL),
+                ("tiny", JobRequest(kind="flow", blif=TINY_BLIF),
+                 parse_blif(TINY_BLIF))):
+            result = api.submit(request)
+            assert result.kind == "flow"
+            value = result.value
+            assert value["summary"]["circuit"] == name
+            direct = DesignFlow().run(design)
+            assert direct.bitstream
+            assert value["summary"] == json.loads(
+                json.dumps(direct.summary()))   # JSON-safe comparison
+            assert value["bitstream_sha256"] == \
+                hashlib.sha256(direct.bitstream).hexdigest()
 
     def test_flow_stage_caches_honour_config_lru_budget(self, tmp_path):
         # The stage caches' in-process LRU follows Config.cache_lru_mb,
@@ -270,30 +275,6 @@ class TestSubmitFacade:
         from tests.test_flow import COUNTER_VHDL
         result = api.submit(JobRequest(kind="flow", vhdl=COUNTER_VHDL))
         json.dumps(result.to_json())   # must not raise
-
-    def test_run_flow_from_logic_shim_warns(self):
-        from repro.flow import run_flow_from_logic
-        from repro.netlist.blif import parse_blif
-        net = parse_blif(".model tiny\n.inputs a\n.outputs y\n"
-                         ".names a y\n1 1\n.end\n")
-        with pytest.warns(DeprecationWarning,
-                          match="run_flow_from_logic"):
-            res = run_flow_from_logic(net)
-        assert res.bitstream
-
-    def test_fig_sweep_shim_warns(self):
-        with pytest.warns(DeprecationWarning, match="run_fig_sweep"):
-            from repro.circuit.experiments import run_fig_sweep
-            sweep = run_fig_sweep("fig8", widths=[1.0],
-                                  wire_lengths=[1], dt=DT)
-        assert list(sweep) == [1]
-
-    def test_internal_callers_do_not_warn(self, recwarn):
-        import warnings
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            api.submit(JobRequest(kind="experiment",
-                                  experiment="table2", dt=DT))
 
 
 # ---------------------------------------------------------------------------

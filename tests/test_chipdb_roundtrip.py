@@ -19,6 +19,7 @@ The hypothesis suites honour the ``ci`` profile registered in
 fast CI leg).
 """
 
+import hashlib
 import random
 import zlib
 from dataclasses import replace
@@ -38,7 +39,7 @@ from repro.bitgen import (BitstreamConfig, BitstreamError, ClbConfig,
 from repro.bitgen.chipdb import ChipDb, ChipDbError
 from repro.bitgen.devicesim import pad_map_from_placement
 from repro.exp import JobSpec
-from repro.flow.flow import DesignFlow, FlowOptions, run_flow_from_logic
+from repro.flow.flow import DesignFlow, FlowOptions
 
 # ---------------------------------------------------------------------------
 # Property 1: bit-exact pack/unpack for arbitrary configurations
@@ -137,9 +138,8 @@ def test_flow_roundtrip_equivalent_random_netlists(seed):
                        n_pi=rng.randint(3, 7), n_po=rng.randint(2, 4),
                        n_nodes=rng.randint(8, 24),
                        registered=seed % 2 == 0)
-    res = run_flow_from_logic(
-        net, FlowOptions(seed=1 + seed % 3, place_effort=0.2,
-                         use_cache=False))
+    res = DesignFlow(FlowOptions(seed=1 + seed % 3, place_effort=0.2,
+                                 use_cache=False)).run(net)
     dis = disassemble(res.bitstream, res.placement.arch,
                       pad_map=pad_map_from_placement(res.placement))
     vecs = [{pi: rng.randint(0, 1) for pi in net.inputs}
@@ -159,13 +159,39 @@ def test_flow_roundtrip_constant_zero_lut():
     net.add_node("buf", [a], ["1"])
     net.add_output("zero")
     net.add_output("buf")
-    res = run_flow_from_logic(net, FlowOptions(seed=1, use_cache=False))
+    res = DesignFlow(FlowOptions(seed=1, use_cache=False)).run(net)
     dis = disassemble(res.bitstream, res.placement.arch,
                       pad_map=pad_map_from_placement(res.placement))
     vecs = [{"a": v} for v in (0, 1)]
     assert dis.network.simulate(vecs) == net.simulate(vecs)
     cfg = unpack_bitstream(res.bitstream, res.placement.arch)
     assert pack_bitstream(cfg) == res.bitstream
+
+
+def test_flow_programs_the_channel_width_it_routed_at(tmp_path):
+    """A design that routes only on a wider channel than its arch's is
+    programmed on the fabric it was routed on: the chip database and
+    the stream header carry the routed width."""
+    from repro import api
+    from tests.test_flow import COUNTER_VHDL
+    config = api.Config(cache_dir=str(tmp_path / "cache"))
+    value = api.submit(api.JobRequest(kind="flow", vhdl=COUNTER_VHDL,
+                                      params={"channel_width": 2}),
+                       config=config).value
+    assert value["summary"]["channel_width"] == 3
+    # The same flow again, from the cached stages, for the stream.
+    res = DesignFlow(config.flow_options(
+        arch=replace(DEFAULT_ARCH, channel_width=2))).run(COUNTER_VHDL)
+    assert res.cache_hits["bitstream"] is True
+    assert hashlib.sha256(res.bitstream).hexdigest() \
+        == value["bitstream_sha256"]
+    dis = disassemble(res.bitstream,
+                      pad_map=pad_map_from_placement(res.placement))
+    assert dis.db.channel_width == 3
+    rng = random.Random(3)
+    vecs = [{pi: rng.randint(0, 1) for pi in res.logic.inputs}
+            for _ in range(16)]
+    assert dis.network.simulate(vecs) == res.logic.simulate(vecs)
 
 
 # ---------------------------------------------------------------------------
@@ -178,8 +204,7 @@ _SUITE = {net.name: net for net in mcnc_class_suite()}
 @pytest.mark.parametrize("name", sorted(_SUITE))
 def test_golden_suite_roundtrip(name):
     net = _SUITE[name]
-    res = run_flow_from_logic(
-        net, FlowOptions(seed=4, use_cache=False))
+    res = DesignFlow(FlowOptions(seed=4, use_cache=False)).run(net)
     assert res.routing is not None and res.routing.success
 
     dis = disassemble(res.bitstream, res.placement.arch,
@@ -237,12 +262,12 @@ def test_schema_change_forces_stage_recompute(tmp_path, monkeypatch):
     opts = FlowOptions(seed=2, use_cache=True,
                        cache_dir=str(tmp_path / "cache"))
     net = counter(4)
-    run_flow_from_logic(net, opts)
-    res_hit = run_flow_from_logic(net, opts)
+    DesignFlow(opts).run(net)
+    res_hit = DesignFlow(opts).run(net)
     assert res_hit.cache_hits["bitstream"] is True
 
     monkeypatch.setattr(chipdb_mod, "CHIPDB_FORMAT_VERSION", 999)
-    res_miss = run_flow_from_logic(net, opts)
+    res_miss = DesignFlow(opts).run(net)
     assert res_miss.cache_hits["bitstream"] is False
     assert res_miss.bitstream  # still produces a stream
 

@@ -33,7 +33,7 @@ from repro.bench import random_logic
 from repro.bitgen import disassemble, pack_bitstream, unpack_bitstream
 from repro.bitgen.devicesim import (DeviceSimulator,
                                     pad_map_from_placement)
-from repro.flow.flow import FlowOptions, run_flow_from_logic
+from repro.flow.flow import DesignFlow, FlowOptions
 from tests.oracles.devicesim import FloodDeviceSimulator
 
 N_CASES = 20
@@ -62,9 +62,8 @@ def _assert_traces_match(got, want, what: str, seed: int,
 def _run_case(seed: int) -> None:
     params = _case_params(seed)
     net = random_logic(f"fuzz{seed}", seed=seed, **params)
-    res = run_flow_from_logic(
-        net, FlowOptions(seed=1 + seed % 4, place_effort=0.3,
-                         use_cache=False))
+    res = DesignFlow(FlowOptions(seed=1 + seed % 4, place_effort=0.3,
+                                 use_cache=False)).run(net)
     assert res.routing is not None and res.routing.success
 
     # Oracle 1: boot the flood decoder from the bitstream alone.

@@ -61,23 +61,16 @@ class TestSpawnPool:
 
 
 class TestWorkerSettings:
-    def test_snapshot_captures_enabled_flag_and_env(self, monkeypatch):
-        monkeypatch.setenv(obs.ENV_TRACE, "/tmp/t.jsonl")
-        monkeypatch.setenv(obs.ENV_RUN_DB, "/tmp/r.db")
-        s = _WorkerSettings.snapshot()
-        assert s.trace_enabled is True
-        assert s.env[obs.ENV_TRACE] == "/tmp/t.jsonl"
-        assert s.env[obs.ENV_RUN_DB] == "/tmp/r.db"
+    def test_snapshot_captures_enabled_flag_and_env(self):
+        # No environment rides along: a task gets every path in its spec.
+        s = _WorkerSettings.snapshot(live_spans=True, heartbeat_s=0.5)
+        assert s == _WorkerSettings(trace_enabled=True, live_spans=True,
+                                    heartbeat_s=0.5)
 
-    def test_apply_restores_state(self, monkeypatch):
-        import os
-        monkeypatch.delenv(obs.ENV_TRACE, raising=False)
-        s = _WorkerSettings(trace_enabled=False,
-                            env={obs.ENV_TRACE: "/tmp/x.jsonl"})
+    def test_apply_restores_state(self):
+        s = _WorkerSettings(trace_enabled=False)
         try:
             s.apply()
             assert obs.enabled() is False
-            assert os.environ[obs.ENV_TRACE] == "/tmp/x.jsonl"
         finally:
             obs.set_enabled(True)
-            monkeypatch.delenv(obs.ENV_TRACE, raising=False)

@@ -16,15 +16,15 @@ import time
 import pytest
 
 from repro.circuit.experiments import (FIG_WIDTHS, FIG_WIRE_LENGTHS,
-                                       _run_fig_sweep, _run_table1,
-                                       _run_table2, _run_table3)
+                                       run_fig_sweep, run_table1,
+                                       run_table2, run_table3)
 from repro.circuit.flipflops import DETFF_VARIANTS
 from repro.circuit.technology import STM018
 from repro.exp import (JobError, JobFailedError, JobSpec, NullCache,
                        ParallelRunner, ResultCache, canonical_json,
                        default_runner)
 from repro.exp.tasks import execute, registered_kinds, task
-from repro.flow.flow import FlowOptions, run_flow
+from repro.flow.flow import DesignFlow, FlowOptions
 from tests.test_flow import COUNTER_VHDL
 
 
@@ -229,12 +229,12 @@ TABLE2_CONFIGS = [
 #: Each driver's one job before sharding, spelled out: with ``jobs=1``
 #: a driver must still submit exactly this spec.
 UNSHARDED = {
-    "table1": (lambda r: _run_table1(runner=r), "names", JobSpec.make(
+    "table1": (lambda r: run_table1(runner=r), "names", JobSpec.make(
         "detff_batch", names=list(DETFF_VARIANTS), tech=STM018,
         dt=1e-12)),
-    "table2": (lambda r: _run_table2(runner=r), "configs", JobSpec.make(
+    "table2": (lambda r: run_table2(runner=r), "configs", JobSpec.make(
         "clock_cells_batch", configs=TABLE2_CONFIGS, dt=1e-12)),
-    "fig8": (lambda r: _run_fig_sweep("fig8", runner=r), "points",
+    "fig8": (lambda r: run_fig_sweep("fig8", runner=r), "points",
              JobSpec.make("fig_sweep_batch",
                           points=[[w, length] for length in FIG_WIRE_LENGTHS
                                   for w in FIG_WIDTHS],
@@ -246,12 +246,12 @@ UNSHARDED = {
 #: subset mixes wire lengths 1 and 8 in each shard, so circuits leave
 #: a shard's batch at different steps.
 SHARD_STUDIES = {
-    "table1": lambda r: _run_table1(dt=4e-12, runner=r),
-    "table3": lambda r: _run_table3(dt=4e-12, runner=r),
-    "fig8_pass": lambda r: _run_fig_sweep(
+    "table1": lambda r: run_table1(dt=4e-12, runner=r),
+    "table3": lambda r: run_table3(dt=4e-12, runner=r),
+    "fig8_pass": lambda r: run_fig_sweep(
         "fig8", widths=[1.0, 4.0, 64.0], wire_lengths=[1, 8], dt=8e-12,
         runner=r),
-    "fig9_tbuf": lambda r: _run_fig_sweep(
+    "fig9_tbuf": lambda r: run_fig_sweep(
         "fig9", widths=[1.0, 4.0, 64.0], wire_lengths=[1, 8],
         switch_type="tbuf", dt=8e-12, runner=r),
 }
@@ -292,7 +292,7 @@ class TestShardedDrivers:
         runner = _SpecRecorder(4, lambda spec: [
             (TABLE2_CONFIGS.index(cfg) + 1) * 1e-15
             for cfg in spec.params["configs"]])
-        rows = _run_table2(runner=runner)
+        rows = run_table2(runner=runner)
         assert [s.params["configs"] for s in runner.specs] == \
             [[cfg] for cfg in TABLE2_CONFIGS]
         assert [rows[f] for f in ("single_fJ", "gated_en1_fJ",
@@ -379,12 +379,6 @@ class TestCacheLRU:
         cache.put(self.KEY, 1)
         assert cache.get(self.KEY) == (True, 1)
         assert cache.lru_hits == 0 and cache.lru_bytes() == 0
-
-    def test_budget_env_parsing(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_CACHE_LRU_MB", "1")
-        assert ResultCache(tmp_path)._lru_limit == 2**20
-        monkeypatch.setenv("REPRO_CACHE_LRU_MB", "nope")
-        assert ResultCache(tmp_path)._lru_limit == 64 * 2**20
 
     def test_stats_include_lru_hits(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -561,8 +555,10 @@ class TestWireProtocol:
 
 class TestFlowDeterminism:
     def test_different_seed_changes_placement(self):
-        a = run_flow(COUNTER_VHDL, FlowOptions(seed=1, use_cache=False))
-        b = run_flow(COUNTER_VHDL, FlowOptions(seed=7, use_cache=False))
+        a = DesignFlow(FlowOptions(seed=1, use_cache=False)).run(
+            COUNTER_VHDL)
+        b = DesignFlow(FlowOptions(seed=7, use_cache=False)).run(
+            COUNTER_VHDL)
         assert a.placement.loc != b.placement.loc
 
     def test_flow_independent_of_hash_seed(self, tmp_path):
@@ -577,10 +573,10 @@ class TestFlowDeterminism:
         script.write_text(
             "import hashlib, sys\n"
             "sys.path.insert(0, sys.argv[1])\n"
-            "from repro.flow.flow import FlowOptions, run_flow\n"
+            "from repro.flow.flow import DesignFlow, FlowOptions\n"
             "from tests.test_flow import COUNTER_VHDL\n"
-            "res = run_flow(COUNTER_VHDL,"
-            " FlowOptions(seed=1, use_cache=False))\n"
+            "res = DesignFlow(FlowOptions(seed=1, use_cache=False))"
+            ".run(COUNTER_VHDL)\n"
             "h = hashlib.sha256(res.bitstream)\n"
             "h.update(repr(sorted((b, s.x, s.y, s.sub)\n"
             "    for b, s in res.placement.loc.items())).encode())\n"

@@ -7,9 +7,8 @@ import pytest
 
 from repro.bench import counter
 from repro.flow import (DesignFlow, FlowGui, FlowOptions, render_html,
-                        render_text, run_flow)
+                        render_text)
 from repro.flow.cli import main as cli_main
-from repro.flow.flow import run_flow_from_logic
 
 COUNTER_VHDL = """
 entity counter is
@@ -40,7 +39,7 @@ end architecture;
 
 @pytest.fixture(scope="module")
 def counter_result():
-    return run_flow(COUNTER_VHDL, FlowOptions(seed=2))
+    return DesignFlow(FlowOptions(seed=2)).run(COUNTER_VHDL)
 
 
 class TestFlow:
@@ -76,11 +75,11 @@ class TestFlow:
 
     def test_syntax_error_stops_flow(self):
         with pytest.raises(ValueError):
-            run_flow("entity broken is port (")
+            DesignFlow().run("entity broken is port (")
 
     def test_artifacts_written(self, tmp_path):
-        run_flow(COUNTER_VHDL,
-                 FlowOptions(work_dir=str(tmp_path), seed=2))
+        DesignFlow(FlowOptions(work_dir=str(tmp_path), seed=2)).run(
+            COUNTER_VHDL)
         names = {p.name for p in tmp_path.iterdir()}
         assert {"design.vhd", "diviner.edif", "druid.edif",
                 "e2fmt.blif", "sis_mapped.blif", "tvpack.net",
@@ -88,7 +87,7 @@ class TestFlow:
                 "powermodel.json", "design.bit"} <= names
 
     def test_flow_from_logic(self):
-        res = run_flow_from_logic(counter(6), FlowOptions(seed=1))
+        res = DesignFlow(FlowOptions(seed=1)).run(counter(6))
         assert res.routing.success and res.bitstream
 
 

@@ -31,9 +31,9 @@ from pathlib import Path
 import pytest
 
 from repro.circuit import experiments
-from repro.circuit.experiments import (_run_fig_sweep, _run_table1,
-                                       _run_table2, _run_table3,
-                                       gated_clock_breakeven)
+from repro.circuit.experiments import (gated_clock_breakeven,
+                                       run_fig_sweep, run_table1,
+                                       run_table2, run_table3)
 from repro.exp import NullCache, ParallelRunner
 from tests.oracles import transient
 
@@ -79,7 +79,7 @@ def _assert_close(got: float, want: float, what: str) -> None:
 
 def test_table1_matches_golden():
     golden = _golden("table1")
-    rows = _run_table1(dt=TABLE_DT)
+    rows = run_table1(dt=TABLE_DT)
     assert [r["name"] for r in rows] == [g["name"] for g in golden]
     for row, gold in zip(rows, golden):
         for field in ("energy_fJ", "delay_ps", "edp_fJ_ps"):
@@ -100,12 +100,12 @@ def test_table2_matches_golden(engine, monkeypatch):
     """The batched engine and the scalar oracle hit the same goldens."""
     golden = _golden("table2")
     if engine == "batched":
-        data = _run_table2(dt=TABLE_DT)
+        data = run_table2(dt=TABLE_DT)
     else:
         # In-process and uncached, so the swapped engine really runs
         # and its values never reach the shared result cache.
         monkeypatch.setattr(experiments, "simulate_batch", _simulate_each)
-        data = _run_table2(dt=TABLE_DT, runner=ParallelRunner(
+        data = run_table2(dt=TABLE_DT, runner=ParallelRunner(
             jobs=1, cache=NullCache(), timeout_s=0))
     assert set(data) == set(golden)
     for field, want in golden.items():
@@ -114,7 +114,7 @@ def test_table2_matches_golden(engine, monkeypatch):
 
 def test_table3_matches_golden():
     golden = _golden("table3")
-    rows = _run_table3(dt=TABLE_DT)
+    rows = run_table3(dt=TABLE_DT)
     assert ([r["condition"] for r in rows]
             == [g["condition"] for g in golden["rows"]])
     for row, gold in zip(rows, golden["rows"]):
@@ -132,8 +132,8 @@ def test_table3_matches_golden():
 @pytest.mark.parametrize("fig", ["fig8", "fig9", "fig10"])
 def test_fig_sweep_matches_golden(fig):
     golden = _golden(fig)
-    sweep = _run_fig_sweep(fig, widths=FIG_WIDTHS,
-                           wire_lengths=FIG_LENGTHS, dt=FIG_DT)
+    sweep = run_fig_sweep(fig, widths=FIG_WIDTHS,
+                          wire_lengths=FIG_LENGTHS, dt=FIG_DT)
 
     rows = [m for length in FIG_LENGTHS for m in sweep[length]]
     assert len(rows) == len(golden["rows"])

@@ -15,8 +15,7 @@ from hypothesis import given, settings, strategies as st
 from repro.arch import DEFAULT_ARCH, build_rr_graph
 from repro.bench import counter, mcnc_class_suite, random_logic
 from repro.bitgen import generate_config, unpack_bitstream
-from repro.flow import FlowOptions
-from repro.flow.flow import run_flow_from_logic
+from repro.flow import DesignFlow, FlowOptions
 from repro.pack import pack_netlist
 from repro.place import place
 from repro.route import route
@@ -33,20 +32,20 @@ class TestBehaviourThroughFlow:
     @given(st.integers(0, 10 ** 6))
     def test_random_combinational_equivalence(self, seed):
         net = random_logic("r", n_pi=7, n_po=4, n_nodes=35, seed=seed)
-        res = run_flow_from_logic(net, FlowOptions(seed=1))
+        res = DesignFlow(FlowOptions(seed=1)).run(net)
         vecs = _rand_vecs(net.inputs, 16, seed + 1)
         assert net.simulate(vecs) == res.mapped.simulate(vecs)
 
     def test_sequential_equivalence(self):
         net = random_logic("r", n_pi=6, n_po=4, n_nodes=40, seed=77,
                            registered=True)
-        res = run_flow_from_logic(net, FlowOptions(seed=1))
+        res = DesignFlow(FlowOptions(seed=1)).run(net)
         vecs = _rand_vecs(net.inputs, 25, 3)
         assert net.simulate(vecs) == res.mapped.simulate(vecs)
 
     def test_suite_routes_and_programs(self):
         for net in mcnc_class_suite()[:6]:
-            res = run_flow_from_logic(net, FlowOptions(seed=2))
+            res = DesignFlow(FlowOptions(seed=2)).run(net)
             assert res.routing.success, net.name
             assert res.bitstream, net.name
 
@@ -89,19 +88,17 @@ class TestBitstreamAgreesWithNetlist:
 
 class TestQoRSanity:
     def test_wirelength_grows_with_circuit_size(self):
-        small = run_flow_from_logic(
-            random_logic("s", n_pi=6, n_po=3, n_nodes=20, seed=1),
-            FlowOptions(seed=1))
-        big = run_flow_from_logic(
-            random_logic("b", n_pi=12, n_po=8, n_nodes=120, seed=1),
-            FlowOptions(seed=1))
+        small = DesignFlow(FlowOptions(seed=1)).run(
+            random_logic("s", n_pi=6, n_po=3, n_nodes=20, seed=1))
+        big = DesignFlow(FlowOptions(seed=1)).run(
+            random_logic("b", n_pi=12, n_po=8, n_nodes=120, seed=1))
         wl_s = small.routing.total_wirelength(small.rr_graph)
         wl_b = big.routing.total_wirelength(big.rr_graph)
         assert wl_b > wl_s
 
     def test_seed_changes_placement_not_function(self):
         net = counter(6)
-        a = run_flow_from_logic(net, FlowOptions(seed=1))
-        b = run_flow_from_logic(net, FlowOptions(seed=99))
+        a = DesignFlow(FlowOptions(seed=1)).run(net)
+        b = DesignFlow(FlowOptions(seed=99)).run(net)
         vecs = [{"en": 1}] * 10
         assert a.mapped.simulate(vecs) == b.mapped.simulate(vecs)

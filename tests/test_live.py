@@ -439,14 +439,6 @@ class TestPrometheus:
 # ---------------------------------------------------------------------------
 
 class TestDisabled:
-    def test_enabled_parsing(self, monkeypatch):
-        for raw in ("", "0", "false", "no", "off", "OFF"):
-            monkeypatch.setenv(live.ENV_TELEMETRY, raw)
-            assert not live.enabled()
-        for raw in ("1", "true", "yes", "on", "/tmp/somewhere"):
-            monkeypatch.setenv(live.ENV_TELEMETRY, raw)
-            assert live.enabled()
-
     def test_live_dir_from_env_path(self, monkeypatch, tmp_path):
         monkeypatch.setenv(live.ENV_TELEMETRY, str(tmp_path / "x"))
         assert live.live_dir() == tmp_path / "x"
@@ -664,15 +656,15 @@ class TestEndToEnd:
                      "--dir", str(tmp_path / "empty")]) == 2
         assert "no live sessions" in capsys.readouterr().err
 
-    def test_cli_live_flag_enables_the_bus(self, tmp_path,
-                                           monkeypatch, capsys):
+    def test_cli_exp_publishes_under_telemetry_env(self, tmp_path,
+                                                   monkeypatch, capsys):
         d = tmp_path / "live"
         monkeypatch.setenv(live.ENV_TELEMETRY, str(d))
         monkeypatch.delenv("REPRO_TRACE", raising=False)
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         rows = tmp_path / "rows.json"
         assert main(["exp", "fig8", "--jobs", "2", "--no-cache",
-                     "--live", "--no-run-db", "-o", str(rows)]) == 0
+                     "--no-run-db", "-o", str(rows)]) == 0
         capsys.readouterr()
         live.shutdown()
         shutdown_pools()

@@ -13,7 +13,7 @@ import pytest
 
 from repro import obs
 from repro.flow.cli import main as cli_main
-from repro.flow.flow import FlowOptions, run_flow
+from repro.flow.flow import DesignFlow, FlowOptions
 from tests.test_flow import COUNTER_VHDL
 
 
@@ -264,10 +264,9 @@ class TestRendererEdgeCases:
 
 class TestFlowTracing:
     def test_flow_emits_stage_tree_with_qor(self, tmp_path):
+        options = FlowOptions(seed=1, use_cache=True, cache_dir=tmp_path)
         with obs.capture() as tr:
-            run_flow(COUNTER_VHDL,
-                     FlowOptions(seed=1, use_cache=True,
-                                 cache_dir=tmp_path))
+            DesignFlow(options).run(COUNTER_VHDL)
         recs = tr.export()
         names = {r["name"] for r in recs}
         assert {"flow.run", "flow.synthesis", "flow.translation",
@@ -288,9 +287,7 @@ class TestFlowTracing:
 
         # Warm re-run: same stages, now cache hits.
         with obs.capture() as tr2:
-            run_flow(COUNTER_VHDL,
-                     FlowOptions(seed=1, use_cache=True,
-                                 cache_dir=tmp_path))
+            DesignFlow(options).run(COUNTER_VHDL)
         pr2 = by_name(tr2.export(), "flow.place_route")[0]
         assert pr2["attrs"]["cache_hit"] is True
 
@@ -321,11 +318,31 @@ class TestCli:
         vhd = tmp_path / "counter.vhd"
         vhd.write_text(COUNTER_VHDL)
         trace = tmp_path / "env.jsonl"
-        monkeypatch.setenv(obs.ENV_TRACE, str(trace))
+        monkeypatch.setenv("REPRO_TRACE", str(trace))
         assert cli_main(["flow", str(vhd), "--no-cache",
                          "--cache-dir", str(tmp_path / "cache")]) == 0
         capsys.readouterr()
         assert by_name(obs.load_jsonl(trace), "flow.run")
+
+    def test_flow_honours_no_cache_env(self, tmp_path, monkeypatch,
+                                       capsys):
+        # REPRO_NO_CACHE switches the flow's stage cache off as it does
+        # the engine's: a second run recomputes every stage.
+        vhd = tmp_path / "counter.vhd"
+        vhd.write_text(COUNTER_VHDL)
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(cache))
+        monkeypatch.setenv("REPRO_NO_CACHE", "1")
+        for run in ("first", "second"):
+            trace = tmp_path / f"{run}.jsonl"
+            assert cli_main(["flow", str(vhd), "--trace", str(trace),
+                             "--no-run-db"]) == 0
+        capsys.readouterr()
+        stages = [r for r in obs.load_jsonl(trace)
+                  if "cache_hit" in r["attrs"]]
+        assert len(stages) == 5
+        assert not any(r["attrs"]["cache_hit"] for r in stages)
+        assert not cache.exists()
 
     @pytest.mark.parametrize("cmd", ["trace", "stats"])
     def test_missing_trace_file_exits_two(self, tmp_path, capsys, cmd):

@@ -13,6 +13,7 @@ events.
 """
 
 import asyncio
+import dataclasses
 import multiprocessing
 import os
 import subprocess
@@ -36,8 +37,11 @@ FORK = multiprocessing.get_context("fork")
 
 
 @contextmanager
-def running_server(config, **kwargs):
-    """A JobServer on an ephemeral port, driven by a thread's loop."""
+def running_server(config, *, artifact_dir=None, **kwargs):
+    """A JobServer on an ephemeral port, driven by a thread's loop;
+    ``artifact_dir`` goes into its config."""
+    if artifact_dir is not None:
+        config = dataclasses.replace(config, artifact_dir=artifact_dir)
     server = JobServer(config, port=0, **kwargs)
     loop = asyncio.new_event_loop()
     ready = threading.Event()
@@ -432,8 +436,8 @@ from repro.serve import JobServer
 
 async def main():
     server = JobServer(api.Config(jobs=1, cache_dir=sys.argv[1],
-                                  run_db=sys.argv[2]),
-                       port=0, artifact_dir=sys.argv[3])
+                                  run_db=sys.argv[2],
+                                  artifact_dir=sys.argv[3]), port=0)
     assert "repro.flow.flow" not in sys.modules, "loaded before start()"
     await server.start()
     try:

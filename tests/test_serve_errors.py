@@ -539,10 +539,32 @@ def test_serve_deadline_is_env_then_default(config, artifact_dir,
     assert _serve_config(monkeypatch).job_timeout_s == 600.0
     # A server built in code keeps the config it is given.
     monkeypatch.delenv("REPRO_JOB_TIMEOUT")
-    server = JobServer(config, port=0, artifact_dir=artifact_dir)
+    server = JobServer(dataclasses.replace(config, artifact_dir=artifact_dir),
+                       port=0)
     server.store.close()
     assert server.config.job_timeout_s is None
     assert server._runner.timeout_s is None
+
+
+def test_serve_artifact_dir_is_flag_then_env_then_default(
+        config, tmp_path, monkeypatch):
+    flag, env = str(tmp_path / "flag"), str(tmp_path / "env")
+    monkeypatch.setenv("REPRO_ARTIFACT_DIR", env)
+    assert _serve_config(monkeypatch, "--artifact-dir",
+                         flag).artifact_dir == flag
+    assert _serve_config(monkeypatch).artifact_dir == env
+    monkeypatch.delenv("REPRO_ARTIFACT_DIR")
+    assert _serve_config(monkeypatch).artifact_dir is None
+    # The server opens its store where the config says, and a config
+    # that names none gets the fixed default under the home directory.
+    monkeypatch.setenv("HOME", str(tmp_path / "home"))
+    for where, root in ((flag, Path(flag)),
+                        (None, tmp_path / "home" / ".cache" / "repro"
+                         / "artifacts")):
+        server = JobServer(dataclasses.replace(config, artifact_dir=where),
+                           port=0)
+        server.store.close()
+        assert server.artifacts.root == root
 
 
 def test_serve_default_deadline_fails_an_overrunning_flow(
