@@ -27,6 +27,7 @@ import time
 from conftest import save_results
 from repro import obs
 from repro.bench import mcnc_class_suite
+from repro.exp.cache import NullCache
 from repro.exp.jobspec import JobSpec
 from repro.exp.pool import shutdown_pools
 from repro.exp.runner import ParallelRunner
@@ -91,7 +92,7 @@ def test_live_streaming_overhead_under_five_percent(tmp_path):
     specs = [JobSpec(kind="selftest",
                      params={"x": float(i), "array_len": 1_500_000})
              for i in range(60)]
-    runner = ParallelRunner(jobs=4, use_cache=False)
+    runner = ParallelRunner(jobs=4, cache=NullCache())
 
     def timed(enabled: bool) -> float:
         if enabled:

@@ -25,7 +25,6 @@ being silently dropped, so a malformed HTTP body becomes a structured
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import asdict, dataclass, field
 from typing import Any
@@ -192,15 +191,8 @@ class JobRequest:
         identical submissions share one artifact, and a code or fabric
         layout revision can never serve a stale result.
         """
-        from ..bitgen.chipdb import chipdb_schema_hash
-        from ..exp.jobspec import repro_code_version
-        h = hashlib.sha256()
-        h.update(self.work_json().encode())
-        h.update(b"\0")
-        h.update(repro_code_version().encode())
-        h.update(b"\0")
-        h.update(chipdb_schema_hash().encode())
-        return h.hexdigest()
+        from ..exp.jobspec import content_key
+        return content_key(self.work_json())
 
 
 @dataclass(frozen=True)

@@ -4,10 +4,12 @@ Fans independent experiment jobs (the batched table and figure
 studies) over isolated worker processes with deterministic result
 ordering, per-job timing, structured failure
 capture (:class:`JobError` distinguishes task errors from timeouts and
-worker crashes), per-job ``timeout_s``/``retries`` with exponential
-backoff, and a content-addressed on-disk result cache (key = SHA-256
-of job spec + technology parameters + code version) so re-runs and
-interrupted sweeps resume from cache instead of re-simulating.
+worker crashes), one runner-wide deadline per job (``timeout_s``), and
+a content-addressed on-disk result cache (key = SHA-256 of job spec +
+technology parameters + code version, see :func:`content_key`) so
+re-runs and interrupted sweeps resume from cache instead of
+re-simulating.  Each job runs once, and a failure is reported in its
+slot.
 
 Typical use::
 
@@ -30,7 +32,8 @@ which :class:`repro.api.Config` builds from ``REPRO_JOBS`` /
 """
 
 from .cache import NullCache, ResultCache, default_cache_dir
-from .jobspec import JobSpec, canonical, canonical_json, repro_code_version
+from .jobspec import (JobSpec, canonical, canonical_json, content_key,
+                      repro_code_version)
 from .pool import PersistentPool, get_pool, shutdown_pools
 from .runner import (JobError, JobFailedError, JobResult, ParallelRunner,
                      default_runner)
@@ -40,5 +43,5 @@ __all__ = [
     "ParallelRunner", "default_runner",
     "PersistentPool", "get_pool", "shutdown_pools",
     "ResultCache", "NullCache", "default_cache_dir",
-    "canonical", "canonical_json", "repro_code_version",
+    "canonical", "canonical_json", "content_key", "repro_code_version",
 ]

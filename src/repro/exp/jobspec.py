@@ -28,7 +28,8 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Any, Mapping
 
-__all__ = ["JobSpec", "canonical", "canonical_json", "repro_code_version"]
+__all__ = ["JobSpec", "canonical", "canonical_json", "content_key",
+           "repro_code_version"]
 
 #: Bumping this invalidates every cache entry made by older engines.
 ENGINE_VERSION = "repro-exp-1"
@@ -75,49 +76,45 @@ def repro_code_version() -> str:
     return h.hexdigest()
 
 
+def content_key(*parts: str, code_version: str | None = None) -> str:
+    """The one key recipe: SHA-256 of ``parts``, the code version and
+    the chipdb schema hash, joined by ``\0``.
+
+    Job specs, service requests and flow stages all key their results
+    this way, so a code change or any revision of the fabric's
+    configuration layout (fuse maps, frame order, stream framing)
+    invalidates every cached result: results computed under one chip
+    database can never alias another's.
+    """
+    from ..bitgen.chipdb import chipdb_schema_hash
+    if code_version is None:
+        code_version = repro_code_version()
+    return hashlib.sha256("\0".join(
+        (*parts, code_version, chipdb_schema_hash())).encode()).hexdigest()
+
+
 @dataclass
 class JobSpec:
     """One unit of work: a registered task kind plus its parameters.
 
-    ``timeout_s`` and ``retries`` are *execution policy*, not identity:
-    they control how the engine runs the job (kill it after a deadline,
-    re-run it with exponential backoff on failure) and are deliberately
-    excluded from the cache key -- the same work with a different
-    timeout is still the same work.
+    How the engine runs it (workers, deadline, cache) is the runner's
+    business, not the spec's: the key covers the work alone.
     """
 
     kind: str
     params: dict[str, Any] = field(default_factory=dict)
-    timeout_s: float | None = None
-    retries: int = 0
 
     @classmethod
-    def make(cls, kind: str, *, timeout_s: float | None = None,
-             retries: int = 0, **params: Any) -> "JobSpec":
-        return cls(kind=kind, params=params, timeout_s=timeout_s,
-                   retries=retries)
+    def make(cls, kind: str, **params: Any) -> "JobSpec":
+        return cls(kind=kind, params=params)
 
     def canonical_json(self) -> str:
         return canonical_json({"kind": self.kind, "params": self.params})
 
     def key(self, code_version: str | None = None) -> str:
-        """SHA-256 cache key of spec + technology params + code version.
-
-        The chipdb schema hash also joins the key: any revision of the
-        fabric's configuration layout (fuse maps, frame order, stream
-        framing) invalidates every cached experiment result, so results
-        computed under one chip database can never alias another's.
-        """
-        from ..bitgen.chipdb import chipdb_schema_hash
-        if code_version is None:
-            code_version = repro_code_version()
-        h = hashlib.sha256()
-        h.update(self.canonical_json().encode())
-        h.update(b"\0")
-        h.update(code_version.encode())
-        h.update(b"\0")
-        h.update(chipdb_schema_hash().encode())
-        return h.hexdigest()
+        """SHA-256 cache key of spec + technology params + code version
+        (see :func:`content_key`)."""
+        return content_key(self.canonical_json(), code_version=code_version)
 
     def __str__(self) -> str:  # compact display for logs / errors
         args = ", ".join(f"{k}={v!r}" for k, v in self.params.items()

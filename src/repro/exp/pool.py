@@ -9,7 +9,7 @@ also carries the job's live spans, heartbeats and metric deltas while
 the parent listens (:func:`_pool_worker_main`).
 :meth:`repro.exp.runner.ParallelRunner.run` does the scheduling.
 Crash isolation comes from supervision: a worker that dies or overruns
-its job's deadline is killed and **replaced**, and the job is reported
+the runner's deadline is killed and **replaced**, and the job is reported
 as a structured :class:`~repro.exp.runner.JobError`
 (``kind="crash"``/``"timeout"``).  Workers leave their fate to the
 parent: they ignore SIGINT and, on start, let go of the signal

@@ -3,23 +3,22 @@
 :class:`ParallelRunner` takes a list of :class:`~repro.exp.jobspec.JobSpec`
 and returns one :class:`JobResult` per spec **in submission order**,
 regardless of how many worker processes computed them or in which order
-they finished.  Each result carries wall-clock seconds, a cached flag,
-the attempt count and, for failed jobs, a structured :class:`JobError`
-(exception type, message, traceback, and whether the failure was a task
-error, a timeout or a worker crash) -- one bad sweep point never takes
-down the batch.
+they finished.  Each result carries wall-clock seconds, a cached flag
+and, for failed jobs, a structured :class:`JobError` (exception type,
+message, traceback, and whether the failure was a task error, a
+timeout or a worker crash) -- one bad sweep point never takes down the
+batch.  Every job runs once.
 
 Execution
 ---------
-A batch runs inline, in this process, when ``jobs == 1`` and no job
-has a timeout.  Otherwise it runs on the shared warm worker pool
-(:mod:`repro.exp.pool`): long-lived workers that outlive batches, each
-sent one job at a time, with results pickled back over its pipe.  A
-per-job ``timeout_s`` (on the spec or the runner) kills and replaces
-an overdue worker and reports ``error.kind == "timeout"``; a worker
-that dies mid-job is replaced and its job reports ``error.kind ==
-"crash"``; ``JobSpec.retries`` re-runs a failed job with exponential
-backoff before giving up.
+A batch runs inline, in this process, when ``jobs == 1`` and the
+runner has no timeout.  Otherwise it runs on the shared warm worker
+pool (:mod:`repro.exp.pool`): long-lived workers that outlive batches,
+each sent one job at a time, with results pickled back over its pipe.
+The runner's ``timeout_s`` is every job's deadline: an overdue worker
+is killed and replaced and its job reports ``error.kind ==
+"timeout"``; a worker that dies mid-job is replaced and its job
+reports ``error.kind == "crash"``.
 
 The pooled scheduler (``ParallelRunner._serve``) takes its jobs from a
 source (``_JobSource``) as they arrive.  :meth:`ParallelRunner.run`
@@ -53,7 +52,7 @@ from dataclasses import dataclass
 from typing import Any, Sequence
 
 from .. import obs
-from .cache import NullCache, ResultCache
+from .cache import ResultCache
 from .jobspec import JobSpec
 
 __all__ = ["JobError", "JobFailedError", "JobResult", "ParallelRunner",
@@ -79,14 +78,6 @@ class JobError:
     def __str__(self) -> str:
         return self.traceback or f"{self.exc_type}: {self.message}"
 
-    @property
-    def is_timeout(self) -> bool:
-        return self.kind == "timeout"
-
-    @property
-    def is_crash(self) -> bool:
-        return self.kind == "crash"
-
 
 class JobFailedError(RuntimeError):
     """Raised by :meth:`JobResult.unwrap`; carries the failed result."""
@@ -95,8 +86,7 @@ class JobFailedError(RuntimeError):
         self.result = result
         self.error = result.error
         super().__init__(
-            f"job {result.spec} failed after {result.attempts} "
-            f"attempt(s) [{result.error.kind}: "
+            f"job {result.spec} failed [{result.error.kind}: "
             f"{result.error.exc_type}]:\n{result.error}")
 
 
@@ -110,7 +100,6 @@ class JobResult:
     seconds: float = 0.0
     cached: bool = False
     error: JobError | None = None
-    attempts: int = 1
 
     @property
     def ok(self) -> bool:
@@ -170,24 +159,22 @@ class _WorkerSettings:
 
 @dataclass
 class _Pending:
-    """One attempt of a job, waiting for a worker or running on one."""
+    """One job, waiting for a worker or running on one."""
 
     handle: Any         # the source's own reference to the job
     spec: JobSpec
-    attempt: int = 1
-    ready_at: float = 0.0   # monotonic time before which it must not start
 
 
 class _JobSource:
     """Where the pooled scheduler takes its jobs and sends their outcomes.
 
     :meth:`take` hands out the next job as ``(handle, spec)``; the
-    scheduler (:meth:`ParallelRunner._serve`) runs it, retries it as
-    its spec allows, and passes the final outcome to :meth:`finish`.
-    The scheduler returns once :meth:`closed` holds and no job is in
-    flight or waiting to retry.  If it raises instead (say a
-    replacement worker cannot be forked), the jobs taken and not
-    finished are the source's to account for.
+    scheduler (:meth:`ParallelRunner._serve`) runs it once and passes
+    its outcome to :meth:`finish`.  The scheduler returns once
+    :meth:`closed` holds and no job is in flight or waiting to be
+    sent.  If it raises instead (say a replacement worker cannot be
+    forked), the jobs taken and not finished are the source's to
+    account for.
 
     ``wake``        a connection that turns readable when a job arrives
                     or the source closes; ``None`` for a source that
@@ -221,7 +208,7 @@ class _JobSource:
     def finish(self, item: _Pending, value: Any, seconds: float,
                err: JobError | None, spans: list | None,
                metric_rows: list | None) -> None:
-        """The final outcome of ``item``, after any retries."""
+        """The outcome of ``item``."""
         raise NotImplementedError
 
 
@@ -257,10 +244,9 @@ class _Batch(_JobSource):
         i = item.handle
         self._results[i] = JobResult(
             spec=item.spec, key=self._keys[i], value=value,
-            seconds=seconds, error=err, attempts=item.attempt)
+            seconds=seconds, error=err)
         job_id = obs.emit(
             "exp.job", seconds=seconds, kind=item.spec.kind,
-            attempt=item.attempt,
             outcome="ok" if err is None else err.kind)
         if spans:
             obs.adopt(spans, parent_id=job_id)
@@ -274,13 +260,11 @@ class ParallelRunner:
     """Run independent jobs over worker processes with result caching.
 
     ``jobs``          concurrent workers; ``<= 0`` means ``os.cpu_count()``.
-    ``cache``         a :class:`ResultCache` to share, or ``None`` to build
-                      one from ``use_cache`` (``NullCache`` when false).
-    ``timeout_s``     default per-job timeout for specs that set none;
-                      ``None`` or non-positive means unlimited.
-    ``backoff_s``     base of the exponential retry backoff: attempt
-                      ``n`` waits ``backoff_s * 2**(n-1)`` before
-                      re-running.
+    ``cache``         the result cache; ``None`` builds a default
+                      :class:`ResultCache`, ``NullCache()`` caches
+                      nothing.
+    ``timeout_s``     every job's deadline in seconds; ``None`` or
+                      non-positive means unlimited.
     ``start_method``  multiprocessing start method for worker processes
                       (``"fork"``, ``"spawn"``, ``"forkserver"``);
                       ``None`` uses the platform default.  Observability
@@ -288,29 +272,24 @@ class ParallelRunner:
                       :class:`_WorkerSettings`), so spans and metrics
                       survive any start method.
 
-    Execution is inline (in-process) only when ``jobs == 1`` and no job
-    has a timeout; otherwise the warm pool keeps crashes and timeouts
-    isolated in worker processes.  The runner parses no environment
-    variables; :func:`default_runner` builds one from them.
+    Execution is inline (in-process) only when ``jobs == 1`` and
+    ``timeout_s`` is unset; otherwise the warm pool keeps crashes and
+    timeouts isolated in worker processes.  The runner parses no
+    environment variables; :func:`default_runner` builds one from them.
     """
 
     def __init__(self, jobs: int = 1, *,
                  cache: ResultCache | None = None,
-                 use_cache: bool = True,
                  timeout_s: float | None = None,
-                 backoff_s: float = 0.25,
                  start_method: str | None = None):
         if jobs <= 0:
             jobs = os.cpu_count() or 1
         self.jobs = jobs
-        if cache is None:
-            cache = ResultCache() if use_cache else NullCache()
-        self.cache = cache
+        self.cache = cache if cache is not None else ResultCache()
         # An explicit 0 lets callers disable a timeout.
         if timeout_s is not None and timeout_s <= 0:
             timeout_s = None
         self.timeout_s = timeout_s
-        self.backoff_s = backoff_s
         self.start_method = start_method
 
     # ------------------------------------------------------------------
@@ -339,10 +318,7 @@ class ParallelRunner:
                                   cached=len(specs) - len(pending))
             try:
                 if pending:
-                    inline = (self.jobs == 1
-                              and all(self._timeout_for(specs[i]) is None
-                                      for i in pending))
-                    if inline:
+                    if self.jobs == 1 and self.timeout_s is None:
                         for i in pending:
                             results[i] = self._run_inline(
                                 specs[i], keys[i], hub)
@@ -371,8 +347,6 @@ class ParallelRunner:
                 continue
             if not r.ok:
                 ms.counter("exp.failures")
-            if r.attempts > 1:
-                ms.counter("exp.retries", r.attempts - 1)
             if not r.cached:
                 ms.dist("exp.job_seconds", r.seconds)
         return results  # type: ignore[return-value]
@@ -381,36 +355,17 @@ class ParallelRunner:
         """Like :meth:`run` but unwraps values, raising on any failure."""
         return [r.unwrap() for r in self.run(specs)]
 
-    # -- policy helpers -------------------------------------------------
-    def _timeout_for(self, spec: JobSpec) -> float | None:
-        return spec.timeout_s if spec.timeout_s is not None \
-            else self.timeout_s
-
-    def _backoff(self, failed_attempt: int) -> float:
-        return self.backoff_s * (2 ** (failed_attempt - 1))
-
-    # -- inline path (serial, no timeouts) ------------------------------
+    # -- inline path (serial, no timeout) -------------------------------
     def _run_inline(self, spec: JobSpec, key: str, hub) -> JobResult:
-        attempt = 0
-        while True:
-            attempt += 1
-            with obs.span("exp.job", kind=spec.kind,
-                          attempt=attempt) as sp:
-                value, seconds, err = _execute_spec(spec)
-                sp.set_attr(outcome="ok" if err is None else err.kind)
-            if err is None or attempt > spec.retries:
-                break
-            if hub is not None:
-                hub.job_retried(spec.kind)
-            backoff = self._backoff(attempt)
-            obs.metrics.metric_set().dist("exp.retry_wait_s", backoff)
-            time.sleep(backoff)
+        with obs.span("exp.job", kind=spec.kind) as sp:
+            value, seconds, err = _execute_spec(spec)
+            sp.set_attr(outcome="ok" if err is None else err.kind)
         if err is None:
             self.cache.put(key, value)
         if hub is not None:
             hub.job_finished(spec.kind, err is None, seconds)
         return JobResult(spec=spec, key=key, value=value,
-                         seconds=seconds, error=err, attempts=attempt)
+                         seconds=seconds, error=err)
 
     # -- pooled path (warm workers, one job per dispatch) ---------------
     def _serve(self, source: _JobSource, pl, hub=None, *,
@@ -421,13 +376,14 @@ class ParallelRunner:
 
         Each idle worker is sent the next job from ``source``; its
         result streams back as soon as it finishes and goes to
-        ``source.finish``.  A worker that dies or overruns its job's
+        ``source.finish``.  A worker that dies or overruns the runner's
         deadline is killed and replaced, and that job is charged with
-        the failure (and retried if its spec allows).  The loop sleeps
-        in one ``connection.wait`` on the busy workers' pipes and the
-        source's ``wake`` connection, and returns once the source has
-        closed and every job taken from it has finished.  The caller
-        owns ``pl``.
+        the failure.  A job whose dispatch fails, because its idle
+        worker died between jobs, goes to the replacement worker at
+        once: the one re-send.  The loop sleeps in one
+        ``connection.wait`` on the busy workers' pipes and the source's
+        ``wake`` connection, and returns once the source has closed and
+        every job taken from it has finished.  The caller owns ``pl``.
 
         ``hub`` (a :class:`~repro.obs.live.TelemetryHub`) gets the job
         lifecycle and every span the running jobs open or close.  With
@@ -444,37 +400,22 @@ class ParallelRunner:
         settings = _WorkerSettings.snapshot(
             live_spans=source.live_spans or hub is not None,
             heartbeat_s=heartbeat_s)
-        #: retry attempts (and jobs a dead worker never received), each
-        #: due at its ``ready_at``; they go before new jobs.
-        retry: deque[_Pending] = deque()
+        #: jobs a dead worker never received; they go before new jobs.
+        unsent: deque[_Pending] = deque()
         ms.gauge("exp.pool.workers", len(pl.workers))
         stalled_prev: list[int] | None = None
 
-        def next_job(now: float) -> _Pending | None:
-            for p in retry:
-                if p.ready_at <= now:
-                    retry.remove(p)
-                    return p
+        def next_job() -> _Pending | None:
+            if unsent:
+                return unsent.popleft()
             job = source.take()
             return None if job is None else _Pending(*job)
 
         def finalize(item: _Pending, value: Any, seconds: float,
                      err: JobError | None, spans: list | None = None,
                      metric_rows: list | None = None) -> None:
-            spec = item.spec
-            if err is not None and item.attempt <= spec.retries:
-                obs.emit("exp.job", seconds=seconds, kind=spec.kind,
-                         attempt=item.attempt,
-                         outcome=f"retry:{err.kind}")
-                if hub is not None:
-                    hub.job_retried(spec.kind)
-                backoff = self._backoff(item.attempt)
-                ms.dist("exp.retry_wait_s", backoff)
-                retry.append(_Pending(item.handle, spec, item.attempt + 1,
-                                      time.monotonic() + backoff))
-                return
             if hub is not None:
-                hub.job_finished(spec.kind, err is None, seconds)
+                hub.job_finished(item.spec.kind, err is None, seconds)
             source.finish(item, value, seconds, err, spans, metric_rows)
 
         def fail(w, kind: str) -> None:
@@ -482,10 +423,10 @@ class ParallelRunner:
             item, w.inflight = w.inflight, None
             elapsed = time.monotonic() - w.started_at
             if kind == "timeout":
-                t = self._timeout_for(item.spec)
-                err = JobError(exc_type="TimeoutError",
-                               message=f"job exceeded timeout of {t}s",
-                               kind="timeout")
+                err = JobError(
+                    exc_type="TimeoutError",
+                    message=f"job exceeded timeout of {self.timeout_s}s",
+                    kind="timeout")
             else:
                 err = JobError(
                     exc_type="WorkerCrashed",
@@ -524,38 +465,35 @@ class ParallelRunner:
                 fail(w, "crash")
 
         def deadline(w) -> float | None:
-            if w.inflight is None:
+            if w.inflight is None or self.timeout_s is None:
                 return None
-            t = self._timeout_for(w.inflight.spec)
-            return None if t is None else w.started_at + t
+            return w.started_at + self.timeout_s
 
         while True:
             now = time.monotonic()
             for w in [w for w in pl.workers if w.inflight is None]:
-                item = next_job(now)
+                item = next_job()
                 if item is None:
                     break
                 try:
                     pl.dispatch(w, settings, item.spec)
                 except Exception:
-                    retry.appendleft(item)
+                    unsent.appendleft(item)
                     pl.replace(w)
                     continue
                 w.inflight = item
                 w.sent_at = w.started_at = now
             busy = [w for w in pl.workers if w.inflight is not None]
             if hub is not None:
-                hub.progress(len(retry) + source.queued(), len(busy))
-            if not busy and not retry and source.closed():
+                hub.progress(len(unsent) + source.queued(), len(busy))
+            if not busy and not unsent and source.closed():
                 break
             now = time.monotonic()
             waits = [d - now for w in busy
                      if (d := deadline(w)) is not None]
-            # A retry waits out its backoff -- or nothing at all when a
-            # worker is free (the one whose dispatch just failed).
-            free = len(busy) < len(pl.workers)
-            waits += [p.ready_at - now for p in retry
-                      if free or p.ready_at > now]
+            if unsent:
+                # The failed worker's idle replacement takes it now.
+                waits.append(0.0)
             timeout = max(0.0, min(waits)) if waits else None
             if heartbeat_s is not None:
                 # Wake at heartbeat granularity so a hung worker is
@@ -603,7 +541,7 @@ def default_runner() -> ParallelRunner:
     ``REPRO_JOBS``         worker count (default 1; ``0`` = all cores)
     ``REPRO_NO_CACHE``     truthy disables the result cache
     ``REPRO_CACHE_DIR``    relocates the cache (see :mod:`repro.exp.cache`)
-    ``REPRO_JOB_TIMEOUT``  default per-job timeout in seconds (unset,
+    ``REPRO_JOB_TIMEOUT``  every job's deadline in seconds (unset,
                            empty or invalid means no timeout)
 
     Invalid values fall back to the defaults rather than raising, so a

@@ -34,9 +34,9 @@ from .. import obs
 from ..arch import (ArchParams, DEFAULT_ARCH, build_rr_graph,
                     generate_arch_file)
 from ..bitgen import generate_bitstream
-from ..bitgen.chipdb import build_chipdb, chipdb_schema_hash
-from ..exp import (NullCache, ResultCache, canonical_json,
-                   default_cache_dir, repro_code_version)
+from ..bitgen.chipdb import build_chipdb
+from ..exp import (NullCache, ResultCache, canonical_json, content_key,
+                   default_cache_dir)
 from ..exp.cache import DEFAULT_LRU_MB
 from ..hdl.parser import check_syntax
 from ..hdl.synth import synthesize
@@ -170,17 +170,7 @@ class DesignFlow:
         revision (new chipdb format, reordered fuse maps, ...) can
         never alias a cached result produced under the old layout.
         """
-        h = hashlib.sha256()
-        h.update(self._fp.encode())
-        h.update(b"\0")
-        h.update(stage.encode())
-        h.update(b"\0")
-        h.update(canonical_json(list(extra)).encode())
-        h.update(b"\0")
-        h.update(repro_code_version().encode())
-        h.update(b"\0")
-        h.update(chipdb_schema_hash().encode())
-        return h.hexdigest()
+        return content_key(self._fp, stage, canonical_json(list(extra)))
 
     def _cached_stage(self, stage: str, extra: tuple, compute,
                       qor=None):

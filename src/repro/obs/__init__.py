@@ -62,8 +62,8 @@ from .report import (TraceReadError, aggregate, build_tree,
                      render_tree)
 from .rundb import RunDB, RunRow, default_db_path
 from .trace import (NOOP_SPAN, Span, Tracer, adopt, capture,
-                    current_span, default_tracer, emit, enabled, gauge,
-                    incr, set_enabled, span, tracer)
+                    current_span, default_tracer, emit, enabled,
+                    set_enabled, span, tracer)
 
 __all__ = [
     "ENV_TELEMETRY", "NOOP_SPAN",
@@ -74,8 +74,8 @@ __all__ = [
     "chrome_trace_events", "chrometrace", "compare_rows",
     "current_span", "dashboard", "default_db_path",
     "default_golden_path", "default_tracer", "emit", "enabled",
-    "format_seconds", "gated_regressions", "gauge", "golden_flow_rows",
-    "incr", "live", "load_jsonl", "metrics", "profiled",
+    "format_seconds", "gated_regressions", "golden_flow_rows",
+    "live", "load_jsonl", "metrics", "profiled",
     "render_compare", "render_report", "render_stats", "render_tree",
     "rundb", "session_hub", "set_enabled", "span", "tracer",
     "write_chrome_trace",

@@ -9,7 +9,7 @@ or sweep opens directly in a real timeline viewer:
 * a timed record becomes a complete ``"X"`` event (``ts`` = wall-clock
   start in microseconds, ``dur`` = span seconds in microseconds);
 * a zero-duration ``emit`` record becomes an instant ``"i"`` event;
-* span attributes and counters land in ``args``;
+* span attributes land in ``args``;
 * each tracer (distinguished by the random span-id prefix before the
   ``:``) maps to its own thread id in first-seen order, so spans
   grafted from different worker processes render as separate tracks.
@@ -47,20 +47,13 @@ def chrome_trace_events(records: Iterable[dict[str, Any]]
         prefix = _tracer_prefix(rec.get("span_id"))
         tid = tids.setdefault(prefix, len(tids) + 1)
         seconds = float(rec.get("seconds", 0.0) or 0.0)
-        args: dict[str, Any] = {}
-        attrs = rec.get("attrs") or {}
-        counters = rec.get("counters") or {}
-        if attrs:
-            args.update(attrs)
-        for name, value in counters.items():
-            args[f"counter.{name}"] = value
         event = {
             "name": str(rec.get("name", "?")),
             "cat": "repro",
             "pid": PID,
             "tid": tid,
             "ts": float(rec.get("t_wall", 0.0) or 0.0) * 1e6,
-            "args": args,
+            "args": dict(rec.get("attrs") or {}),
         }
         if seconds > 0.0:
             event["ph"] = "X"

@@ -21,7 +21,7 @@ state on the pipe that carries the job's result, ahead of the result
 **Parent side** -- the pooled scheduler (``ParallelRunner._serve``)
 folds those events and the batch lifecycle into a
 :class:`TelemetryHub`: queue depth, per-worker state, per-stage
-throughput, completed/failed/retried/cached counts, ETA.  The hub
+throughput, completed/failed/cached counts, ETA.  The hub
 publishes them:
 
 * as an atomically-replaced JSON *snapshot file* under
@@ -258,7 +258,7 @@ class TelemetryHub:
         self._metrics = metrics_mod.MetricSet()
         self._batch: dict[str, Any] | None = None
         self._totals = {"batches": 0, "jobs": 0, "completed": 0,
-                        "failed": 0, "retried": 0, "cached": 0}
+                        "failed": 0, "cached": 0}
         self._state = "idle"
         self._started_wall = wall()
         self._stop = threading.Event()
@@ -282,7 +282,7 @@ class TelemetryHub:
             self._state = "running"
             self._batch = {
                 "n_jobs": n_jobs, "workers": workers, "cached": cached,
-                "completed": 0, "failed": 0, "retried": 0,
+                "completed": 0, "failed": 0,
                 "queued": n_jobs - cached, "running": 0,
                 "started": self._clock(), "started_wall": self._wall(),
             }
@@ -295,12 +295,6 @@ class TelemetryHub:
             if self._batch is not None:
                 self._batch["completed" if ok else "failed"] += 1
             self._totals["completed" if ok else "failed"] += 1
-
-    def job_retried(self, kind: str) -> None:
-        with self._lock:
-            if self._batch is not None:
-                self._batch["retried"] += 1
-            self._totals["retried"] += 1
 
     def progress(self, queued: int, running: int) -> None:
         """Scheduler's live queue depth / in-flight count."""
@@ -388,7 +382,7 @@ class TelemetryHub:
                 batch = {
                     "n_jobs": b["n_jobs"], "workers": b["workers"],
                     "cached": b["cached"], "completed": b["completed"],
-                    "failed": b["failed"], "retried": b["retried"],
+                    "failed": b["failed"],
                     "queue_depth": b["queued"], "running": b["running"],
                     "elapsed_s": round(now - b["started"], 3),
                     "throughput_jps": round(rate, 4),
@@ -540,8 +534,8 @@ def render_top(snap: dict[str, Any], *,
             f"queued {b.get('queue_depth', 0)}  "
             f"running {b.get('running', 0)}  "
             f"done {b.get('completed', 0)} "
-            f"(+{b.get('cached', 0)} cached, {b.get('failed', 0)} "
-            f"failed, {b.get('retried', 0)} retried)   "
+            f"(+{b.get('cached', 0)} cached, "
+            f"{b.get('failed', 0)} failed)   "
             f"{b.get('throughput_jps', 0.0):.2f} jobs/s   "
             f"eta {_fmt_age(float(b.get('eta_s', 0.0)))}")
     t = snap.get("totals") or {}
@@ -689,8 +683,7 @@ def snapshot_exposition(snap: dict[str, Any]) -> str:
             ("queue_depth", "jobs waiting for a worker"),
             ("running", "jobs executing right now"),
             ("completed", "batch jobs finished ok"),
-            ("failed", "batch jobs that exhausted retries"),
-            ("retried", "batch retry attempts"),
+            ("failed", "batch jobs that failed"),
             ("cached", "batch jobs served from cache"),
             ("throughput_jps", "completed jobs per second"),
             ("eta_s", "estimated seconds to batch completion")):

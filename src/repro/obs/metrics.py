@@ -490,14 +490,9 @@ for _spec in [
     MetricSpec("exp.jobs", COUNTER, "jobs", "jobs submitted"),
     MetricSpec("exp.cache_hits", COUNTER, "jobs", "jobs served from "
                "cache"),
-    MetricSpec("exp.failures", COUNTER, "jobs", "jobs that exhausted "
-               "retries", direction="lower"),
-    MetricSpec("exp.retries", COUNTER, "attempts", "extra attempts "
-               "spent on flaky jobs", direction="lower"),
+    MetricSpec("exp.failures", COUNTER, "jobs", "jobs that failed "
+               "(error, timeout or crash)", direction="lower"),
     MetricSpec("exp.job_seconds", DIST, "s", "per-job wall time",
-               direction="lower"),
-    MetricSpec("exp.retry_wait_s", DIST, "s", "scheduler wait spent on "
-               "retry backoff before re-running a failed job",
                direction="lower"),
     MetricSpec("exp.cache.lru_hits", COUNTER, "hits", "cache reads "
                "served by the in-process LRU layer (no disk I/O)"),

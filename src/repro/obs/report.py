@@ -8,7 +8,7 @@ exposes:
   span with wall time, cache hit/miss and its QoR attributes, indented
   under its parent;
 * ``repro-flow stats run.jsonl``  -- per-span-name aggregates: count,
-  total/mean/max seconds, cache hits vs misses, summed counters.
+  total/mean/max seconds, cache hits vs misses, errors.
 """
 
 from __future__ import annotations
@@ -91,8 +91,6 @@ def _describe(rec: dict[str, Any]) -> str:
         if k in _SPECIAL_ATTRS:
             continue
         parts.append(f"{k}={_fmt_value(v)}")
-    for k, v in (rec.get("counters") or {}).items():
-        parts.append(f"{k}={_fmt_value(v)}")
     return "  ".join(parts)
 
 
@@ -148,13 +146,13 @@ def render_tree(records: Iterable[dict[str, Any]]) -> str:
 
 
 def aggregate(records: Iterable[dict[str, Any]]) -> list[dict[str, Any]]:
-    """Per span name: count, timing stats, cache hits, summed counters."""
+    """Per span name: count, timing stats, cache hits, errors."""
     stats: dict[str, dict[str, Any]] = {}
     for rec in records:
         name = rec.get("name", "?")
         row = stats.setdefault(name, {
             "span": name, "count": 0, "total_s": 0.0, "max_s": 0.0,
-            "hits": 0, "misses": 0, "errors": 0, "counters": {},
+            "hits": 0, "misses": 0, "errors": 0,
         })
         s = rec.get("seconds", 0.0) or 0.0
         row["count"] += 1
@@ -168,9 +166,6 @@ def aggregate(records: Iterable[dict[str, Any]]) -> list[dict[str, Any]]:
         if "error" in attrs or attrs.get("outcome") not in (None, "ok",
                                                             "cached"):
             row["errors"] += 1
-        for k, v in (rec.get("counters") or {}).items():
-            if isinstance(v, (int, float)):
-                row["counters"][k] = row["counters"].get(k, 0) + v
     rows = []
     for row in stats.values():
         row["mean_s"] = row["total_s"] / max(row["count"], 1)
@@ -185,11 +180,9 @@ def render_stats(records: Iterable[dict[str, Any]]) -> str:
     if not rows:
         return "(empty trace)"
     header = (f"{'span':<24} {'count':>5} {'total':>9} {'mean':>9} "
-              f"{'max':>9} {'hit/miss':>9} {'err':>4}  counters")
+              f"{'max':>9} {'hit/miss':>9} {'err':>4}")
     lines = [header, "-" * len(header)]
     for r in rows:
-        counters = " ".join(f"{k}={_fmt_value(v)}"
-                            for k, v in sorted(r["counters"].items()))
         hm = (f"{r['hits']}/{r['misses']}"
               if r["hits"] or r["misses"] else "-")
         lines.append(
@@ -197,5 +190,5 @@ def render_stats(records: Iterable[dict[str, Any]]) -> str:
             f"{format_seconds(r['total_s']):>9} "
             f"{format_seconds(r['mean_s']):>9} "
             f"{format_seconds(r['max_s']):>9} {hm:>9} "
-            f"{r['errors']:>4}  {counters}")
+            f"{r['errors']:>4}")
     return "\n".join(lines)

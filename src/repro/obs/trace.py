@@ -1,8 +1,8 @@
-"""Spans, counters and gauges: the flow's measurement substrate.
+"""Spans: the flow's measurement substrate.
 
 A :class:`Span` is one timed region of work -- a flow stage, a batch of
 experiment jobs, an annealing run -- with free-form scalar attributes
-(cache hit/miss, LUT count, channel width, ...) and local counters.
+(cache hit/miss, LUT count, channel width, ...).
 Spans nest through a :mod:`contextvars` stack, so a trace of one run
 reconstructs as a tree; finished spans are appended to the ambient
 :class:`Tracer` as plain JSONL-ready dicts.
@@ -19,8 +19,9 @@ Design constraints, in order:
    job's span with :func:`adopt`.  Span ids carry a per-tracer random
    prefix, so merged traces never collide.
 3. **Plain data.**  A record is ``{span_id, parent_id, name, t_wall,
-   seconds, attrs, counters}`` -- one JSON object per line on export,
-   no schema beyond that.
+   seconds, attrs}`` -- one JSON object per line on export, no schema
+   beyond that.  Numbers a stage or loop reports are span attributes,
+   or :class:`~repro.obs.metrics.MetricSet` rows.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ from typing import Any, Iterable, Iterator
 
 __all__ = [
     "NOOP_SPAN", "Span", "Tracer", "adopt", "capture",
-    "current_span", "default_tracer", "emit", "enabled", "gauge",
-    "incr", "set_enabled", "set_span_listener", "span",
+    "current_span", "default_tracer", "emit", "enabled",
+    "set_enabled", "set_span_listener", "span",
     "span_listener", "tracer",
 ]
 
@@ -71,7 +72,7 @@ class Span:
     """One timed, attributed region of work (context manager)."""
 
     __slots__ = ("_tracer", "span_id", "parent_id", "name", "attrs",
-                 "counters", "t_wall", "seconds", "_t0", "_token")
+                 "t_wall", "seconds", "_t0", "_token")
 
     def __init__(self, tracer: "Tracer", span_id: str,
                  parent_id: str | None, name: str,
@@ -81,7 +82,6 @@ class Span:
         self.parent_id = parent_id
         self.name = name
         self.attrs = attrs
-        self.counters: dict[str, float] = {}
         self.t_wall = 0.0
         self.seconds = 0.0
         self._t0 = 0.0
@@ -91,14 +91,6 @@ class Span:
         """Attach scalar attributes (QoR numbers, outcomes, sizes)."""
         self.attrs.update(attrs)
         return self
-
-    def incr(self, name: str, n: float = 1) -> None:
-        """Bump a counter local to this span."""
-        self.counters[name] = self.counters.get(name, 0) + n
-
-    def gauge(self, name: str, value: float) -> None:
-        """Record the latest value of a quantity (last write wins)."""
-        self.counters[name] = value
 
     def __enter__(self) -> "Span":
         self.t_wall = time.time()
@@ -136,12 +128,6 @@ class _NoopSpan:
     def set_attr(self, **attrs: Any) -> "_NoopSpan":
         return self
 
-    def incr(self, name: str, n: float = 1) -> None:
-        pass
-
-    def gauge(self, name: str, value: float) -> None:
-        pass
-
     def __enter__(self) -> "_NoopSpan":
         return self
 
@@ -173,7 +159,6 @@ class Tracer:
 
     def emit(self, name: str, *, seconds: float = 0.0,
              parent_id: str | None = None, t_wall: float | None = None,
-             counters: dict[str, float] | None = None,
              **attrs: Any) -> str:
         """Record an already-finished span (no context management)."""
         if parent_id is None:
@@ -187,7 +172,6 @@ class Tracer:
             "t_wall": time.time() if t_wall is None else t_wall,
             "seconds": seconds,
             "attrs": dict(attrs),
-            "counters": dict(counters or {}),
         })
         return sid
 
@@ -199,7 +183,6 @@ class Tracer:
             "t_wall": span.t_wall,
             "seconds": span.seconds,
             "attrs": span.attrs,
-            "counters": span.counters,
         })
 
     def _append(self, record: dict[str, Any]) -> None:
@@ -300,14 +283,12 @@ def span(name: str, **attrs: Any):
 
 
 def emit(name: str, *, seconds: float = 0.0,
-         parent_id: str | None = None,
-         counters: dict[str, float] | None = None,
-         **attrs: Any) -> str | None:
+         parent_id: str | None = None, **attrs: Any) -> str | None:
     """Record a finished span on the ambient tracer."""
     if not _enabled:
         return None
     return tracer().emit(name, seconds=seconds, parent_id=parent_id,
-                         counters=counters, **attrs)
+                         **attrs)
 
 
 def adopt(records: Iterable[dict[str, Any]],
@@ -316,20 +297,6 @@ def adopt(records: Iterable[dict[str, Any]],
     if not _enabled or not records:
         return
     tracer().adopt(records, parent_id)
-
-
-def incr(name: str, n: float = 1) -> None:
-    """Bump a counter on the innermost open span (no-op outside one)."""
-    sp = _current_span.get()
-    if sp is not None:
-        sp.incr(name, n)
-
-
-def gauge(name: str, value: float) -> None:
-    """Record a gauge on the innermost open span (no-op outside one)."""
-    sp = _current_span.get()
-    if sp is not None:
-        sp.gauge(name, value)
 
 
 @contextlib.contextmanager

@@ -56,8 +56,6 @@ class Job:
     request: JobRequest | None
     status: JobStatus
     events: list[dict] = field(default_factory=list)
-    #: Set once ``status.done`` -- streamers stop waiting on it.
-    finished: threading.Event = field(default_factory=threading.Event)
 
     def add_event(self, event: dict) -> None:
         self.events.append(event)
@@ -200,8 +198,8 @@ class QueueStore:
                 "VALUES (?, ?, ?, ?, ?)", rows)
         return len(rows)
 
-    def load(self, *, clear: bool = True) -> list[Job]:
-        """Persisted jobs, oldest first; optionally clear the table.
+    def load(self) -> list[Job]:
+        """Persisted jobs, oldest first; the table is cleared.
 
         A row whose request no longer parses (schema drift across a
         code upgrade) is dropped rather than wedging the restart.
@@ -210,9 +208,8 @@ class QueueStore:
             rows = self._conn.execute(
                 "SELECT job_id, ts, request FROM serve_queue "
                 "ORDER BY ts, job_id").fetchall()
-            if clear:
-                with self._conn:
-                    self._conn.execute("DELETE FROM serve_queue")
+            with self._conn:
+                self._conn.execute("DELETE FROM serve_queue")
         jobs: list[Job] = []
         for job_id, ts, raw in rows:
             try:

@@ -227,7 +227,6 @@ class _ServiceJobs(_JobSource):
         status.state = state
         srv._served += 1
         srv._running -= 1
-        job.finished.set()
         srv._retire(job)
 
 
@@ -358,7 +357,6 @@ class JobServer:
             job.status.started = job.status.finished = now
             job.add_event({"event": "done", "job": job.id, "t": now,
                            "artifact": key, "cached": True})
-            job.finished.set()
             self._cached_hits += 1
             with self._jobs_lock:
                 self.jobs[job.id] = job

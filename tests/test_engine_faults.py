@@ -1,12 +1,12 @@
 """Failure-injection tests for the fault-tolerant experiment engine.
 
 Each test injects one (or several) of the failure modes the pooled
-runner must survive -- a job that sleeps past its timeout, a worker
-that dies mid-job (``os._exit``), a flaky task that succeeds only on a
-retry -- and asserts the contract: the batch always completes, results
-stay aligned one-to-one with the submitted specs in submission order,
-and every failure is captured as a structured :class:`JobError` rather
-than hanging or poisoning the pool.
+runner must survive -- a job that sleeps past the runner's deadline, a
+worker that dies mid-job (``os._exit`` or SIGKILL), a task that raises
+-- and asserts the contract: the batch always completes, each job runs
+once, results stay aligned one-to-one with the submitted specs in
+submission order, and every failure is captured as a structured
+:class:`JobError` rather than hanging or poisoning the pool.
 
 The injected task kinds are registered at import time; worker processes
 are forked on Linux, so they inherit the registry.
@@ -23,7 +23,8 @@ import pytest
 
 from repro import obs
 from repro.exp import (JobError, JobFailedError, JobSpec, NullCache,
-                      ParallelRunner, ResultCache, get_pool)
+                      ParallelRunner, PersistentPool, ResultCache,
+                      get_pool)
 from repro.exp.tasks import task
 
 pytestmark = pytest.mark.skipif(
@@ -52,21 +53,6 @@ def _raise(message: str = "boom", **_ignored):
     raise ValueError(message)
 
 
-@task("_test_flaky")
-def _flaky(marker: str = "", fail_times: int = 1, **_ignored):
-    """Fails until ``fail_times`` attempts are on record in ``marker``.
-
-    The attempt count lives in a file so it survives the fresh worker
-    process each retry runs in.
-    """
-    with open(marker, "a") as fh:
-        fh.write("x")
-    attempts = os.path.getsize(marker)
-    if attempts <= fail_times:
-        raise RuntimeError(f"flaky failure #{attempts}")
-    return {"attempts": attempts}
-
-
 @task("_test_traced")
 def _traced(depth: int = 2, **_ignored):
     with obs.span("task.outer", depth=depth):
@@ -76,13 +62,9 @@ def _traced(depth: int = 2, **_ignored):
 
 
 @task("_test_killable")
-def _killable(pid_file: str = "", once_marker: str = "", **_ignored):
-    """First attempt: publish the worker pid and hang (so the test can
-    SIGKILL the worker mid-job).  Any retry returns immediately."""
-    if os.path.exists(once_marker):
-        return {"pid": os.getpid(), "retried": True}
-    with open(once_marker, "w") as fh:
-        fh.write("x")
+def _killable(pid_file: str = "", **_ignored):
+    """Publish the worker pid and hang, so the test can SIGKILL the
+    worker mid-job."""
     with open(pid_file + ".tmp", "w") as fh:
         fh.write(str(os.getpid()))
     os.replace(pid_file + ".tmp", pid_file)   # atomic: no partial reads
@@ -97,125 +79,88 @@ def runner(tmp_path, jobs=2, **kw):
 
 class TestTimeout:
     def test_sleeping_job_is_killed_not_awaited(self, tmp_path):
-        specs = [JobSpec.make("_test_sleep", seconds=30.0,
-                              timeout_s=0.5)]
+        specs = [JobSpec.make("_test_sleep", seconds=30.0)]
         t0 = time.monotonic()
-        (res,) = runner(tmp_path).run(specs)
+        (res,) = runner(tmp_path, timeout_s=0.5).run(specs)
         elapsed = time.monotonic() - t0
         assert elapsed < 10.0, "timeout did not interrupt the sleep"
-        assert not res.ok and res.error.is_timeout
+        assert not res.ok and res.error.kind == "timeout"
         assert res.error.exc_type == "TimeoutError"
         assert "0.5" in res.error.message
         with pytest.raises(JobFailedError, match="failed"):
             res.unwrap()
 
     def test_runner_default_timeout_applies(self, tmp_path):
+        # A deadline needs a worker to kill, so it moves even a
+        # one-worker batch onto the pool.
         specs = [JobSpec.make("_test_sleep", seconds=30.0)]
-        (res,) = runner(tmp_path, timeout_s=0.5).run(specs)
-        assert not res.ok and res.error.is_timeout
-
-    def test_spec_timeout_overrides_runner_default(self, tmp_path):
-        specs = [JobSpec.make("_test_sleep", seconds=0.05,
-                              timeout_s=20.0)]
-        (res,) = runner(tmp_path, timeout_s=0.01).run(specs)
-        assert res.ok and res.value == "overslept"
+        (res,) = runner(tmp_path, jobs=1, timeout_s=0.5).run(specs)
+        assert not res.ok and res.error.kind == "timeout"
 
 
 class TestCrash:
     def test_dead_worker_yields_failed_result(self, tmp_path):
-        specs = [JobSpec.make("_test_exit", code=17, timeout_s=20.0)]
+        specs = [JobSpec.make("_test_exit", code=17)]
         (res,) = runner(tmp_path).run(specs)
-        assert not res.ok and res.error.is_crash
+        assert not res.ok and res.error.kind == "crash"
         assert res.error.exc_type == "WorkerCrashed"
 
     def test_crash_does_not_poison_siblings(self, tmp_path):
-        specs = [JobSpec.make("_test_exit", timeout_s=20.0),
-                 JobSpec.make("_test_quick", tag=1, timeout_s=20.0),
-                 JobSpec.make("_test_quick", tag=2, timeout_s=20.0)]
+        specs = [JobSpec.make("_test_exit"),
+                 JobSpec.make("_test_quick", tag=1),
+                 JobSpec.make("_test_quick", tag=2)]
         crashed, a, b = runner(tmp_path).run(specs)
-        assert not crashed.ok and crashed.error.is_crash
+        assert not crashed.ok and crashed.error.kind == "crash"
         assert a.ok and a.value["tag"] == 1
         assert b.ok and b.value["tag"] == 2
 
 
-class TestRetry:
-    def test_flaky_succeeds_on_retry(self, tmp_path):
-        marker = tmp_path / "attempts"
-        specs = [JobSpec.make("_test_flaky", marker=str(marker),
-                              fail_times=1, retries=2, timeout_s=20.0)]
-        (res,) = runner(tmp_path, backoff_s=0.01).run(specs)
-        assert res.ok and res.attempts == 2
-        assert res.value["attempts"] == 2
-
-    def test_retries_exhausted_keeps_last_error(self, tmp_path):
-        marker = tmp_path / "attempts"
-        specs = [JobSpec.make("_test_flaky", marker=str(marker),
-                              fail_times=10, retries=2, timeout_s=20.0)]
-        (res,) = runner(tmp_path, backoff_s=0.01).run(specs)
-        assert not res.ok and res.attempts == 3
-        assert res.error.kind == "error"
-        assert res.error.exc_type == "RuntimeError"
-        assert "flaky failure #3" in res.error.message
-
-    def test_inline_path_retries_too(self, tmp_path):
-        marker = tmp_path / "attempts"
-        specs = [JobSpec.make("_test_flaky", marker=str(marker),
-                              fail_times=1, retries=1)]
-        (res,) = runner(tmp_path, jobs=1, backoff_s=0.01).run(specs)
-        assert res.ok and res.attempts == 2
-
-
 class TestMixedBatch:
     def test_every_failure_mode_in_one_batch(self, tmp_path):
-        """The acceptance scenario: timeout + crash + transient failure
-        + plain errors + successes in a single batch, all surviving,
-        results in submission order."""
-        marker = tmp_path / "attempts"
+        """The acceptance scenario: timeout + crash + plain errors +
+        successes in a single batch under one runner deadline, all
+        surviving, results in submission order."""
         specs = [
-            JobSpec.make("_test_quick", tag=0, timeout_s=20.0),
-            JobSpec.make("_test_sleep", seconds=30.0, timeout_s=0.5),
-            JobSpec.make("_test_exit", timeout_s=20.0),
-            JobSpec.make("_test_flaky", marker=str(marker),
-                         fail_times=1, retries=2, timeout_s=20.0),
-            JobSpec.make("_test_raise", message="kaput",
-                         timeout_s=20.0),
-            JobSpec.make("_test_quick", tag=5, timeout_s=20.0),
+            JobSpec.make("_test_quick", tag=0),
+            JobSpec.make("_test_sleep", seconds=30.0),
+            JobSpec.make("_test_exit"),
+            JobSpec.make("_test_raise", message="kaput"),
+            JobSpec.make("_test_quick", tag=4),
         ]
-        results = runner(tmp_path, backoff_s=0.01).run(specs)
+        t0 = time.monotonic()
+        results = runner(tmp_path, timeout_s=2.0).run(specs)
+        assert time.monotonic() - t0 < 15.0
         assert len(results) == len(specs)
         assert [r.spec.kind for r in results] == [s.kind for s in specs]
 
-        ok0, timed, crashed, flaky, raised, ok5 = results
+        ok0, timed, crashed, raised, ok4 = results
         assert ok0.ok and ok0.value["tag"] == 0
-        assert timed.error.is_timeout
-        assert crashed.error.is_crash
-        assert flaky.ok and flaky.attempts == 2
+        assert timed.error.kind == "timeout"
+        assert crashed.error.kind == "crash"
         assert raised.error.kind == "error"
         assert raised.error.exc_type == "ValueError"
         assert "kaput" in raised.error.message
         assert raised.error.traceback  # full worker traceback captured
-        assert ok5.ok and ok5.value["tag"] == 5
+        assert ok4.ok and ok4.value["tag"] == 4
 
     def test_batch_trace_labels_outcomes(self, tmp_path):
-        marker = tmp_path / "attempts"
         specs = [
-            JobSpec.make("_test_sleep", seconds=30.0, timeout_s=0.3),
-            JobSpec.make("_test_flaky", marker=str(marker),
-                         fail_times=1, retries=1, timeout_s=20.0),
-            JobSpec.make("_test_quick", timeout_s=20.0),
+            JobSpec.make("_test_sleep", seconds=30.0),
+            JobSpec.make("_test_raise"),
+            JobSpec.make("_test_quick"),
         ]
         with obs.capture() as tr:
-            runner(tmp_path, backoff_s=0.01).run(specs)
+            runner(tmp_path, timeout_s=1.0).run(specs)
         jobs = [r for r in tr.export() if r["name"] == "exp.job"]
-        outcomes = {r["attrs"]["outcome"] for r in jobs}
-        assert {"timeout", "retry:error", "ok"} <= outcomes
+        outcomes = sorted(r["attrs"]["outcome"] for r in jobs)
+        assert outcomes == ["error", "ok", "timeout"]
         (batch,) = [r for r in tr.export() if r["name"] == "exp.batch"]
-        assert batch["attrs"]["failures"] == 1
+        assert batch["attrs"]["failures"] == 2
 
 
 class TestWorkerTraces:
     def test_worker_spans_graft_under_their_job(self, tmp_path):
-        specs = [JobSpec.make("_test_traced", depth=2, timeout_s=20.0)]
+        specs = [JobSpec.make("_test_traced", depth=2)]
         with obs.capture() as tr:
             (res,) = runner(tmp_path).run(specs)
         assert res.ok
@@ -233,9 +178,8 @@ class TestCheckpointing:
         leaves the good results on disk, and the re-run only recomputes
         the poison one."""
         cache_dir = tmp_path / "shared"
-        specs = [JobSpec.make("_test_quick", tag=t, timeout_s=20.0)
-                 for t in range(3)]
-        poison = JobSpec.make("_test_exit", timeout_s=20.0)
+        specs = [JobSpec.make("_test_quick", tag=t) for t in range(3)]
+        poison = JobSpec.make("_test_exit")
 
         first = ParallelRunner(jobs=2, cache=ResultCache(cache_dir))
         results = first.run([*specs, poison])
@@ -252,8 +196,7 @@ class TestCheckpointing:
         """Simulate an interrupt: run half the sweep, then the full
         sweep against the same cache; the first half is pure reads."""
         cache_dir = tmp_path / "shared"
-        all_specs = [JobSpec.make("_test_quick", tag=t, timeout_s=20.0)
-                     for t in range(4)]
+        all_specs = [JobSpec.make("_test_quick", tag=t) for t in range(4)]
         ParallelRunner(jobs=2,
                        cache=ResultCache(cache_dir)).run(all_specs[:2])
         cache = ResultCache(cache_dir)
@@ -264,14 +207,13 @@ class TestCheckpointing:
 
 class TestPoolFaultMatrix:
     """Supervision contract of the persistent warm pool: a killed or
-    overdue worker is replaced, the victim job retries per its spec,
-    and jobs on healthy workers are untouched."""
+    overdue worker is replaced, only its job is charged, and jobs on
+    healthy workers are untouched."""
 
-    def test_sigkill_mid_job_replaces_worker_and_retries(self, tmp_path):
+    def test_sigkill_mid_job_fails_only_that_job(self, tmp_path):
         pool = get_pool(2)
         pids_before = {w.proc.pid for w in pool.workers}
         pid_file = str(tmp_path / "victim.pid")
-        marker = str(tmp_path / "ran.once")
 
         def sniper():
             deadline = time.monotonic() + 20.0
@@ -283,18 +225,14 @@ class TestPoolFaultMatrix:
 
         shooter = threading.Thread(target=sniper, daemon=True)
         shooter.start()
-        specs = [JobSpec.make("_test_killable", pid_file=pid_file,
-                              once_marker=marker, retries=1,
-                              timeout_s=25.0)]
-        specs += [JobSpec.make("_test_quick", tag=t, timeout_s=25.0)
-                  for t in range(1, 5)]
+        specs = [JobSpec.make("_test_killable", pid_file=pid_file)]
+        specs += [JobSpec.make("_test_quick", tag=t) for t in range(1, 5)]
         with obs.metrics.collect() as ms:
-            results = runner(tmp_path, backoff_s=0.01).run(specs)
+            results = runner(tmp_path, timeout_s=25.0).run(specs)
         shooter.join(5.0)
 
         victim, *healthy = results
-        assert victim.ok and victim.attempts == 2
-        assert victim.value["retried"] is True
+        assert not victim.ok and victim.error.kind == "crash"
         for t, r in enumerate(healthy, start=1):
             assert r.ok and r.value["tag"] == t
         # The supervisor spawned at least one replacement...
@@ -311,17 +249,38 @@ class TestPoolFaultMatrix:
         assert pids_before  # sanity: pool existed before the batch
 
     def test_pool_timeout_charges_only_the_overdue_job(self, tmp_path):
-        specs = [JobSpec.make("_test_sleep", seconds=30.0,
-                              timeout_s=0.5),
-                 JobSpec.make("_test_quick", tag=1, timeout_s=25.0),
-                 JobSpec.make("_test_quick", tag=2, timeout_s=25.0)]
+        specs = [JobSpec.make("_test_sleep", seconds=30.0),
+                 JobSpec.make("_test_quick", tag=1),
+                 JobSpec.make("_test_quick", tag=2)]
         t0 = time.monotonic()
-        timed, a, b = runner(tmp_path).run(specs)
+        timed, a, b = runner(tmp_path, timeout_s=1.0).run(specs)
         assert time.monotonic() - t0 < 10.0
-        assert not timed.ok and timed.error.is_timeout
-        assert "0.5" in timed.error.message
+        assert not timed.ok and timed.error.kind == "timeout"
+        assert "1.0" in timed.error.message
         assert a.ok and a.value["tag"] == 1
         assert b.ok and b.value["tag"] == 2
+
+    def test_failed_dispatch_resends_to_the_replacement(self,
+                                                       monkeypatch):
+        """A worker that died between jobs fails the dispatch: its job
+        goes to the replacement worker at once and is not charged."""
+        real_dispatch = PersistentPool.dispatch
+        sent = []
+
+        def dispatch(pool, worker, settings, spec):
+            sent.append(spec)
+            if len(sent) == 1:
+                raise BrokenPipeError("worker died between jobs")
+            real_dispatch(pool, worker, settings, spec)
+
+        monkeypatch.setattr(PersistentPool, "dispatch", dispatch)
+        specs = [JobSpec.make("selftest", x=float(t)) for t in range(4)]
+        get_pool(2)
+        with obs.metrics.collect() as ms:
+            results = ParallelRunner(jobs=2, cache=NullCache()).run(specs)
+        assert [r.unwrap() for r in results] == [0.0, 2.0, 4.0, 6.0]
+        assert ms.value("exp.pool.spawns") == 1
+        assert sent[0] == sent[1] and len(sent) == len(specs) + 1
 
     def test_pool_worker_reuse_across_batches(self, tmp_path):
         specs = [JobSpec.make("_test_quick", tag=t) for t in range(6)]
@@ -361,11 +320,10 @@ class TestJobErrorShape:
         err = JobError(exc_type="ValueError", message="bad width",
                        traceback="Traceback ...", kind="error")
         assert str(err) == "Traceback ..."
-        assert not err.is_timeout and not err.is_crash
         bare = JobError(exc_type="TimeoutError", message="too slow",
                         kind="timeout")
         assert str(bare) == "TimeoutError: too slow"
-        assert bare.is_timeout
+        assert bare.kind == "timeout"
 
     def test_unwrap_carries_error_and_result(self, tmp_path):
         (res,) = ParallelRunner(

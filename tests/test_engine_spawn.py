@@ -11,13 +11,14 @@ where test-module registrations never do.
 """
 
 from repro import obs
-from repro.exp import JobSpec, ParallelRunner, ResultCache
+from repro.exp import JobSpec, NullCache, ParallelRunner, ResultCache
 from repro.exp.runner import _WorkerSettings
 
 
-def spawn_runner(tmp_path, **kw):
-    return ParallelRunner(jobs=2, cache=ResultCache(tmp_path / "c"),
-                          start_method="spawn", **kw)
+def spawn_runner(tmp_path, cache=None):
+    if cache is None:
+        cache = ResultCache(tmp_path / "c")
+    return ParallelRunner(jobs=2, cache=cache, start_method="spawn")
 
 
 def specs(n):
@@ -32,7 +33,7 @@ class TestSpawnPool:
 
     def test_child_spans_survive_spawn(self, tmp_path):
         with obs.capture() as tr:
-            spawn_runner(tmp_path, use_cache=False).run(specs(2))
+            spawn_runner(tmp_path, NullCache()).run(specs(2))
         recs = tr.export()
         jobs = [r for r in recs if r["name"] == "exp.job"]
         work = [r for r in recs if r["name"] == "selftest.work"]
@@ -54,7 +55,7 @@ class TestSpawnPool:
         obs.set_enabled(False)
         try:
             with obs.capture() as tr:
-                spawn_runner(tmp_path, use_cache=False).run(specs(1))
+                spawn_runner(tmp_path, NullCache()).run(specs(1))
         finally:
             obs.set_enabled(True)
         assert tr.export() == []

@@ -8,6 +8,7 @@ are read from the environment, the pool's wire protocol, and the
 design flow's determinism across seeds and hash seeds.
 """
 
+import hashlib
 import os
 import pickle
 import threading
@@ -22,7 +23,7 @@ from repro.circuit.flipflops import DETFF_VARIANTS
 from repro.circuit.technology import STM018
 from repro.exp import (JobError, JobFailedError, JobSpec, NullCache,
                        ParallelRunner, ResultCache, canonical_json,
-                       default_runner)
+                       default_runner, repro_code_version)
 from repro.exp.tasks import execute, registered_kinds, task
 from repro.flow.flow import DesignFlow, FlowOptions
 from tests.test_flow import COUNTER_VHDL
@@ -62,6 +63,31 @@ class TestJobSpec:
             base.key(code_version="other"),
         }
         assert len(keys) == 5
+
+    def test_one_key_recipe(self):
+        """Spec keys, request hashes and flow stage keys are each the
+        SHA-256 of their parts, the code version and the chipdb schema
+        hash, joined by NUL."""
+        from repro.api import JobRequest
+        from repro.bitgen.chipdb import chipdb_schema_hash
+
+        def recipe(*parts, code_version=None):
+            text = "\0".join((*parts, code_version or repro_code_version(),
+                              chipdb_schema_hash()))
+            return hashlib.sha256(text.encode()).hexdigest()
+
+        spec = JobSpec.make("fig_sweep_batch", points=[[2.0, 4]])
+        spec_json = canonical_json({"kind": spec.kind,
+                                    "params": spec.params})
+        assert spec.key() == recipe(spec_json)
+        assert spec.key(code_version="other") == recipe(
+            spec_json, code_version="other")
+        request = JobRequest(kind="flow", blif=".model m\n.end\n")
+        assert request.content_hash() == recipe(request.work_json())
+        flow = DesignFlow(FlowOptions(use_cache=False))
+        flow._seed_fingerprint("blif", "dummy")
+        assert flow._stage_key("bitstream", ("h", 1)) == recipe(
+            flow._fp, "bitstream", canonical_json(["h", 1]))
 
     def test_canonical_rejects_arbitrary_objects(self):
         with pytest.raises(TypeError):
@@ -162,7 +188,7 @@ class TestParallelRunner:
         except JobFailedError as exc:
             assert exc.error.exc_type == "ValueError"
             assert exc.error.message
-            assert not exc.error.is_timeout and not exc.error.is_crash
+            assert exc.error.kind == "error"
 
     def test_warm_cache_speedup(self, tmp_path):
         specs = [_point(w, 2) for w in (1.0, 2.0, 4.0)]

@@ -31,6 +31,7 @@ import urllib.request
 import pytest
 
 from repro import obs
+from repro.exp.cache import NullCache
 from repro.exp.jobspec import JobSpec
 from repro.exp.pool import shutdown_pools
 from repro.exp.runner import ParallelRunner
@@ -144,7 +145,6 @@ def _feed(hub):
          "min": 1.0, "max": 1.0}]))
     hub.job_finished("selftest", True, 0.2)
     hub.job_finished("selftest", False, 0.1)
-    hub.job_retried("selftest")
     hub.progress(queued=4, running=2)
 
 
@@ -173,7 +173,6 @@ class TestSnapshot:
         b = hub.snapshot()["batch"]
         assert b["n_jobs"] == 10 and b["cached"] == 3
         assert b["completed"] == 1 and b["failed"] == 1
-        assert b["retried"] == 1
         assert b["queue_depth"] == 4 and b["running"] == 2
         assert b["throughput_jps"] == pytest.approx(1.0)
         # 10 jobs - 3 cached - 2 done = 5 remaining at 1 job/s
@@ -303,7 +302,7 @@ class TestEmitter:
         specs = [JobSpec(kind="selftest", params={"x": float(i)})
                  for i in range(6)]
         try:
-            results = ParallelRunner(jobs=2, use_cache=False).run(specs)
+            results = ParallelRunner(jobs=2, cache=NullCache()).run(specs)
         finally:
             shutdown_pools()
         assert all(r.ok for r in results)
@@ -456,7 +455,7 @@ class TestDisabled:
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         d = tmp_path / "live"
         monkeypatch.delenv(live.ENV_TELEMETRY, raising=False)
-        r = ParallelRunner(jobs=2, use_cache=False)
+        r = ParallelRunner(jobs=2, cache=NullCache())
         specs = [JobSpec(kind="selftest", params={"x": float(i)})
                  for i in range(4)]
         assert all(x.ok for x in r.run(specs))
@@ -471,7 +470,7 @@ class TestDisabled:
 
 class TestEndToEnd:
     def _start_sweep(self, n_jobs=50, sleep_s=0.25, jobs=4):
-        r = ParallelRunner(jobs=jobs, use_cache=False)
+        r = ParallelRunner(jobs=jobs, cache=NullCache())
         specs = [JobSpec(kind="selftest",
                          params={"x": float(i), "sleep_s": sleep_s})
                  for i in range(n_jobs)]
@@ -595,7 +594,7 @@ class TestEndToEnd:
                          params={"x": float(i), "sleep_s": 0.1})
                  for i in range(8)]
         try:
-            results = ParallelRunner(jobs=2, use_cache=False).run(specs)
+            results = ParallelRunner(jobs=2, cache=NullCache()).run(specs)
             time.sleep(5 * 0.05)     # the warm workers stay up, idle
             snap = live.session_hub().snapshot()
         finally:
@@ -680,7 +679,7 @@ class TestEndToEnd:
         ms = obs.MetricSet()
         try:
             with obs.metrics.collect(ms):
-                r = ParallelRunner(jobs=2, use_cache=False)
+                r = ParallelRunner(jobs=2, cache=NullCache())
                 specs = [JobSpec(kind="selftest",
                                  params={"x": float(i),
                                          "sleep_s": 0.3})

@@ -1,13 +1,14 @@
 """Unit and integration tests for the tracing layer (:mod:`repro.obs`).
 
-Covers the span primitives (nesting, attributes, counters, error
-capture), tracer mechanics (emit, adopt/grafting, record cap, JSONL
-round-trip), the disabled fast path, the report renderers, and the two
+Covers the span primitives (nesting, attributes, error capture),
+tracer mechanics (emit, adopt/grafting, record cap, JSONL round-trip),
+the disabled fast path, the report renderers, and the two
 integration surfaces: a real flow run producing the per-stage span
 tree, and the CLI ``--trace`` / ``trace`` / ``stats`` commands.
 """
 
 import json
+import os
 
 import pytest
 
@@ -42,20 +43,15 @@ class TestSpan:
         assert outer_rec["seconds"] >= inner_rec["seconds"] >= 0.0
         assert outer_rec["t_wall"] > 0
 
-    def test_attrs_counters_and_gauges(self):
+    def test_attrs(self):
         with obs.capture() as tr:
             with obs.span("work", kind="test") as sp:
                 sp.set_attr(qor=3.5, ok=True)
-                sp.incr("moves")
-                sp.incr("moves", 4)
-                sp.gauge("temp", 2.5)
-                sp.gauge("temp", 1.25)
-                # Module-level helpers hit the innermost open span.
-                obs.incr("moves")
-                obs.gauge("width", 8)
+                sp.set_attr(qor=1.25)       # last write wins
         (rec,) = tr.export()
-        assert rec["attrs"] == {"kind": "test", "qor": 3.5, "ok": True}
-        assert rec["counters"] == {"moves": 6, "temp": 1.25, "width": 8}
+        assert rec["attrs"] == {"kind": "test", "qor": 1.25, "ok": True}
+        assert set(rec) == {"span_id", "parent_id", "name", "t_wall",
+                            "seconds", "attrs"}
 
     def test_exception_recorded_and_propagated(self):
         with obs.capture() as tr:
@@ -64,10 +60,6 @@ class TestSpan:
                     raise ValueError("nope")
         (rec,) = tr.export()
         assert rec["attrs"]["error"] == "ValueError"
-
-    def test_incr_outside_any_span_is_noop(self):
-        obs.incr("nothing")
-        obs.gauge("nothing", 1)
 
 
 class TestDisabled:
@@ -79,7 +71,6 @@ class TestDisabled:
                 assert sp is obs.NOOP_SPAN
                 with sp:
                     sp.set_attr(y=2)
-                    sp.incr("c")
                 assert obs.emit("also-invisible") is None
             finally:
                 obs.set_enabled(True)
@@ -140,8 +131,9 @@ class TestTracer:
 
     def test_jsonl_roundtrip(self, tmp_path):
         with obs.capture() as tr:
-            with obs.span("stage", circuit="c1", cache_hit=False) as sp:
-                sp.incr("n", 3)
+            with obs.span("stage", circuit="c1", cache_hit=False,
+                          n=3):
+                pass
         path = tmp_path / "t.jsonl"
         assert tr.write_jsonl(path) == 1
         back = obs.load_jsonl(path)
@@ -167,7 +159,7 @@ class TestReports:
                     pass
                 with obs.span("flow.synthesis", cache_hit=True):
                     pass
-                obs.emit("exp.job", outcome="retry:timeout")
+                obs.emit("exp.job", outcome="timeout")
         return tr.export()
 
     def test_render_tree_shape(self):
@@ -181,8 +173,7 @@ class TestReports:
 
     def test_orphan_parents_become_roots(self):
         recs = [{"span_id": "x:1", "parent_id": "gone", "name": "lost",
-                 "t_wall": 1.0, "seconds": 0.1, "attrs": {},
-                 "counters": {}}]
+                 "t_wall": 1.0, "seconds": 0.1, "attrs": {}}]
         assert obs.render_tree(recs).startswith("lost")
         assert obs.render_tree([]) == "(empty trace)"
 
@@ -214,8 +205,7 @@ class TestRendererEdgeCases:
     @staticmethod
     def rec(**kw):
         base = {"span_id": "t:1", "parent_id": None, "name": "s",
-                "t_wall": 1.0, "seconds": 0.0, "attrs": {},
-                "counters": {}}
+                "t_wall": 1.0, "seconds": 0.0, "attrs": {}}
         base.update(kw)
         return base
 
@@ -226,23 +216,38 @@ class TestRendererEdgeCases:
         assert "instant" in stats and "0s" in stats
 
     def test_span_with_no_attributes(self):
-        recs = [self.rec(name="bare", attrs={}, counters={})]
+        recs = [self.rec(name="bare", attrs={})]
         line = obs.render_tree(recs).splitlines()[0]
         assert line == "bare  0s"       # no trailing k=v noise
 
     def test_missing_optional_fields(self):
-        # A record written by an older tracer: no attrs/counters keys,
-        # seconds None.
+        # A record written by an older tracer: no attrs key, seconds
+        # None.
         recs = [{"span_id": "t:1", "parent_id": None, "name": "old",
                  "t_wall": 1.0, "seconds": None}]
         recs[0].pop("seconds")
         assert obs.render_tree(recs).startswith("old")
         assert obs.aggregate(recs)[0]["count"] == 1
 
+    def test_legacy_counters_key_is_ignored(self, tmp_path):
+        # Traces written while spans still carried counters load and
+        # render; the old key shows nowhere.
+        path = tmp_path / "old.jsonl"
+        path.write_text(json.dumps(self.rec(
+            name="old", seconds=0.5, attrs={"luts": 4},
+            counters={"moves": 6})) + "\n")
+        recs = obs.load_jsonl(path)
+        assert obs.render_tree(recs) == "old  500.0ms  luts=4"
+        assert "moves" not in obs.render_stats(recs)
+        (event,) = [e for e in obs.chrome_trace_events(recs)
+                    if e["ph"] != "M"]
+        assert event["args"] == {"luts": 4}
+
     def test_unicode_labels_roundtrip(self, tmp_path):
         with obs.capture() as tr:
-            with obs.span("flow.synthèse", circuit="càé-フロー") as sp:
-                sp.incr("движения", 2)
+            with obs.span("flow.synthèse", circuit="càé-フロー",
+                          движения=2):
+                pass
         path = tmp_path / "u.jsonl"
         tr.write_jsonl(path)
         recs = obs.load_jsonl(path)
@@ -365,7 +370,7 @@ class TestCli:
         path = tmp_path / "cut.jsonl"
         path.write_text('{"span_id": "a:1", "name": "ok", '
                         '"parent_id": null, "t_wall": 1.0, '
-                        '"seconds": 0.1, "attrs": {}, "counters": {}}\n'
+                        '"seconds": 0.1, "attrs": {}}\n'
                         '{"span_id": "a:2", "name": "trunc')
         rc = cli_main([cmd, str(path)])
         assert rc == 2
@@ -380,13 +385,29 @@ class TestCli:
         assert "not a span record" in capsys.readouterr().err
 
     @pytest.fixture(scope="class")
-    def exp_trace(self, tmp_path_factory):
+    def exp_run(self, tmp_path_factory):
+        # Class-scoped, so it runs before the per-test _hermetic_env of
+        # conftest.py: it clears the shell's REPRO_* variables and
+        # names its own run DB itself.
         tmp = tmp_path_factory.mktemp("exp_trace")
-        trace = tmp / "exp.jsonl"
-        assert cli_main(["exp", "table2", "--dt", "8e-12",
-                        "--cache-dir", str(tmp / "cache"),
-                        "--trace", str(trace)]) == 0
-        return obs.load_jsonl(trace)
+        with pytest.MonkeyPatch.context() as mp:
+            for name in [k for k in os.environ if k.startswith("REPRO_")]:
+                mp.delenv(name)
+            assert cli_main(["exp", "table2", "--dt", "8e-12",
+                             "--cache-dir", str(tmp / "cache"),
+                             "--run-db", str(tmp / "runs.db"),
+                             "--trace", str(tmp / "exp.jsonl")]) == 0
+        return tmp
+
+    @pytest.fixture(scope="class")
+    def exp_trace(self, exp_run):
+        return obs.load_jsonl(exp_run / "exp.jsonl")
+
+    def test_exp_run_records_into_its_own_db(self, exp_run):
+        with obs.RunDB(exp_run / "runs.db") as db:
+            (row,) = db.runs()
+        assert row.label == "exp"
+        assert row.trace_path == str(exp_run / "exp.jsonl")
 
     def test_exp_trace_records_batch(self, exp_trace):
         # Every job span is grafted under its batch span.
@@ -447,8 +468,7 @@ class TestAtomicWrite:
 class TestChromeTrace:
     def _records(self):
         with obs.capture() as tr:
-            with obs.span("flow.run", circuit="c17") as sp:
-                sp.incr("luts", 12)
+            with obs.span("flow.run", circuit="c17", luts=12):
                 with obs.span("flow.place"):
                     pass
                 obs.emit("flow.note", level="info")
@@ -463,8 +483,7 @@ class TestChromeTrace:
         run = by_name["flow.run"]
         assert run["ph"] == "X" and run["dur"] > 0
         assert run["ts"] > 0
-        assert run["args"]["circuit"] == "c17"
-        assert run["args"]["counter.luts"] == 12
+        assert run["args"] == {"circuit": "c17", "luts": 12}
         # zero-duration emit becomes a thread-scoped instant
         note = by_name["flow.note"]
         assert note["ph"] == "i" and note["s"] == "t"
