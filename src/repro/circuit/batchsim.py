@@ -5,12 +5,31 @@ The package's one transient step loop.  A figure sweep
 characterisations is dozens of *independent* transient analyses, each
 thousands of backward-Euler steps over a few tens of nodes.  This
 module runs them all at once: the circuits are stacked
-block-diagonally (node, device and Jacobian arrays concatenated with
-per-circuit offsets) so one backward-Euler/Newton loop advances every
-circuit in lock step, with per-batch-element convergence masking.  The
+block-diagonally (node and device arrays concatenated with per-circuit
+offsets) so one backward-Euler/Newton loop advances every circuit in
+lock step, with per-batch-element convergence masking.  The
 Python-loop iteration count is the *maximum* of the per-circuit step
 counts rather than their sum.  A single circuit
 (:func:`~repro.circuit.simulator.simulate`) is a batch of one.
+
+One Jacobian, in band storage
+-----------------------------
+The block-diagonal stack is one banded matrix, as wide as its widest
+circuit.  Each Newton iteration stamps its Jacobian once, straight into
+the band storage LAPACK's ``dgbsv`` reads: the entry at stack position
+(row, col) sits at ``col * ab_rows + 2*kl + row - col``.  Both solvers
+read that one array:
+
+* ``solver="auto"`` (the default) factorises the whole stack with one
+  ``dgbsv`` call per Newton iteration, for every pack.  Partial
+  pivoting never crosses the zero coupling between blocks, so the
+  per-circuit solutions are exact block solves; only their
+  floating-point rounding differs from the dense path (well below
+  solver tolerance, and far below the golden-regression tolerance).
+* ``solver="dense"`` gathers each circuit's ``nf x nf`` block out of
+  the band storage (entries outside the band read a zero slot) and
+  solves it on its own.  The same gather diagnoses a singular band
+  pivot: the per-circuit solves name the failing element.
 
 Bit-equivalence contract
 ------------------------
@@ -23,9 +42,10 @@ assert equality:
 * the MOSFET model is the same code
   (:func:`~repro.circuit.simulator.mos_currents`), evaluated
   elementwise -- values do not depend on which stack a device sits in;
-* ``np.bincount`` accumulates per bin in input order, and the global
+* ``np.bincount`` accumulates per bin in input order, the global
   index arrays keep each circuit's stamps in the same section-major
-  order as a single circuit's, so every nodal sum has the same
+  order as a single circuit's, and the (row, col) -> band position map
+  is injective, so every nodal sum and Jacobian entry has the same
   floating-point association;
 * the dense solves are grouped by matrix size and dispatched through
   the same LAPACK ``dgesv`` path a single ``np.linalg.solve`` uses,
@@ -36,17 +56,6 @@ assert equality:
 * a failing element falls back to an 8-substep source-ramping
   recovery, run on a single-element pack.
 
-The default ``solver="auto"`` additionally enables a **banded** linear
-path when every stacked Jacobian has small bandwidth (the figure
-sweeps' RC-ladder circuits have bandwidth 2): the block-diagonal stack
-is one banded matrix, factorised by a single LAPACK ``dgbsv`` call per
-Newton iteration instead of one ``dgesv`` per circuit.  Partial
-pivoting never crosses the zero coupling between blocks, so the
-per-circuit solutions are exact block solves; only their floating-point
-rounding differs from the dense path (well below solver tolerance, and
-far below the golden-regression tolerance).  Wide-bandwidth circuits
-(the DETFF cells) automatically keep the dense bit-exact path.
-
 Circuits with differing step counts are handled by re-packing at each
 step-count boundary: finished circuits leave the stack, the survivors
 keep going.
@@ -55,24 +64,14 @@ keep going.
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg.lapack import dgbsv
 
 from .. import obs
 from .network import Circuit
 from .simulator import (CompiledCircuit, NewtonConvergenceError,
                         TransientResult, mos_currents)
 
-try:                               # scipy ships in the platform image,
-    from scipy.linalg import lapack as _lapack   # but stay importable
-except Exception:                  # pragma: no cover - no scipy
-    _lapack = None
-
 __all__ = ["simulate_batch"]
-
-#: Maximum Jacobian bandwidth for which ``solver="auto"`` picks the
-#: single-``dgbsv`` banded path over per-circuit dense solves.  The
-#: figure sweeps' RC ladders have bandwidth 2; the DETFF cells (11-15)
-#: stay dense and therefore bit-exact against the reference loop.
-AUTO_BAND_LIMIT = 6
 
 #: Newton iterations per step before the substep recovery takes over.
 MAX_NEWTON = 30
@@ -130,29 +129,34 @@ class _Element:
 
 
 class _Group:
-    """A contiguous run of pack elements sharing one Jacobian size."""
+    """A contiguous run of pack elements sharing one Jacobian size.
 
-    __slots__ = ("nf", "e0", "jac_sl", "free_sl", "diag")
+    ``ab_idx`` holds, for each element's ``nf x nf`` block, the band
+    storage position of every entry.
+    """
 
-    def __init__(self, nf, e0, jac_sl, free_sl):
+    __slots__ = ("nf", "e0", "free_sl", "ab_idx")
+
+    def __init__(self, nf, e0, free_sl, ab_idx):
         self.nf = nf
         self.e0 = e0
-        self.jac_sl = jac_sl
         self.free_sl = free_sl
-        self.diag = np.arange(nf)
+        self.ab_idx = ab_idx
 
 
 class _Pack:
     """A block-diagonal stack of circuits sharing one Newton loop.
 
-    All index arrays address the concatenated node space; the flat
-    Jacobian is the concatenation of each element's ``nf*nf`` block.
-    Elements must arrive sorted by ``nf`` so equal-size systems form
-    contiguous solve groups.
+    All index arrays address the concatenated node space or the
+    stack's free-node space.  The Jacobian lives in LAPACK band storage
+    -- ``ab_rows`` values per free node, column by column -- followed
+    by one slot that stays zero.  Elements must arrive sorted by ``nf``
+    so equal-size systems form contiguous solve groups.
     """
 
     def __init__(self, elements: list[_Element], solver: str):
         self.elements = elements
+        self.dense = solver == "dense"
         ccs = [el.cc for el in elements]
         self.B = len(elements)
 
@@ -191,57 +195,51 @@ class _Pack:
         self.m_vt = np.concatenate([s.m_vt for s in ccs])
         self.m_lam = np.concatenate([s.m_lam for s in ccs])
         self.m_ioff = np.concatenate([s.m_ioff for s in ccs])
+        self.inj_mos_idx = np.concatenate([self.m_d, self.m_s])
 
         self.r_a = np.concatenate([s.r_a + o for s, o in zip(ccs, offs)])
         self.r_b = np.concatenate([s.r_b + o for s, o in zip(ccs, offs)])
         self.r_cond = np.concatenate([s.r_g for s in ccs])
+        self.inj_res_idx = np.concatenate([self.r_a, self.r_b])
 
-        # Per-node lookups for rebuilding the flat stamp patterns: the
-        # element-local free position, the element's nf and the offset
-        # of its Jacobian block in the concatenated flat Jacobian.
-        fp = np.concatenate([s.free_pos for s in ccs])
-        jac_sizes = [nf * nf for nf in nf_list]
-        jac_off = np.concatenate(
-            ([0], np.cumsum(jac_sizes))).astype(np.int64)
-        self.jac_off = jac_off
-        node_nf = np.repeat(np.array(nf_list, dtype=np.int64), n_list)
-        node_jac_off = np.repeat(jac_off[:-1], n_list)
+        # Jacobian stamps as (row, col) in the stack's free-node space:
+        # the MOSFETs' (rows d,d,d,s,s,s; cols d,g,s x2, masked to free
+        # nodes) and each circuit's constant resistor part.
+        gpos = np.concatenate(
+            [np.where(s.free_pos >= 0, s.free_pos + f, -1)
+             for s, f in zip(ccs, self.free_starts)])
+        rows = gpos[np.concatenate([self.m_d] * 3 + [self.m_s] * 3)]
+        cols = gpos[np.concatenate([self.m_d, self.m_g, self.m_s] * 2)]
+        self.mos_ok = (rows >= 0) & (cols >= 0)
+        mos_r, mos_c = rows[self.mos_ok], cols[self.mos_ok]
+        res_r, res_c, res_v = [], [], []
+        for s, f in zip(ccs, self.free_starts):
+            nz = np.flatnonzero(s.jac_res)
+            r, c = np.divmod(nz, s.nf)
+            res_r.append(r + f)
+            res_c.append(c + f)
+            res_v.append(s.jac_res[nz])
+        res_r, res_c = np.concatenate(res_r), np.concatenate(res_c)
 
-        self.jac_res = np.concatenate([s.jac_res for s in ccs])
-        self.total_flat = self.jac_res.size
+        # Band storage: kl = ku = the widest block's bandwidth, and kl
+        # more rows per column for the LU fill-in.
+        kl = self.kl = int(np.abs(np.concatenate(
+            [mos_r - mos_c, res_r - res_c])).max(initial=0))
+        ab_rows = 3 * kl + 1
+        ab_size = self.nf_total * ab_rows
+        self.ab_rows = ab_rows
 
-        band = 0
-        if self.m_d.size:
-            rows = np.concatenate([self.m_d] * 3 + [self.m_s] * 3)
-            cols = np.concatenate([self.m_d, self.m_g, self.m_s] * 2)
-            rp = fp[rows]
-            cp = fp[cols]
-            ok = (rp >= 0) & (cp >= 0)
-            flat = node_jac_off[rows] + rp * node_nf[rows] + cp
-            self.mos_flat = flat[ok]
-            self.mos_ok = ok
-            self.inj_mos_idx = np.concatenate([self.m_d, self.m_s])
-            if self.mos_flat.size:
-                band = int(np.abs(rp - cp)[ok].max())
-        else:
-            self.mos_flat = np.empty(0, dtype=np.int64)
-            self.mos_ok = np.empty(0, dtype=bool)
-            self.inj_mos_idx = np.empty(0, dtype=np.int64)
-        res_flat = np.empty(0, dtype=np.int64)
-        if self.r_a.size:
-            self.inj_res_idx = np.concatenate([self.r_a, self.r_b])
-            rows = np.concatenate([self.r_a, self.r_a, self.r_b, self.r_b])
-            cols = np.concatenate([self.r_a, self.r_b, self.r_b, self.r_a])
-            rp = fp[rows]
-            cp = fp[cols]
-            ok = (rp >= 0) & (cp >= 0)
-            res_flat = (node_jac_off[rows] + rp * node_nf[rows] + cp)[ok]
-            if res_flat.size:
-                band = max(band, int(np.abs(rp - cp)[ok].max()))
-        else:
-            self.inj_res_idx = np.empty(0, dtype=np.int64)
+        def band_pos(r, c):
+            return c * ab_rows + (2 * kl + r - c)
 
-        # Solve groups: contiguous runs of equal nf.
+        self.mos_ab = band_pos(mos_r, mos_c)
+        self.ab_static = np.zeros(ab_size + 1)
+        self.ab_static[band_pos(res_r, res_c)] = np.concatenate(res_v)
+        diag = np.arange(self.nf_total)
+        self.ab_diag = band_pos(diag, diag)
+
+        # Solve groups: contiguous runs of equal nf, each with its
+        # blocks' band positions (ab_size, the zero slot, off the band).
         self.groups = []
         i = 0
         while i < self.B:
@@ -249,48 +247,14 @@ class _Pack:
             j = i
             while j < self.B and nf_list[j] == nf:
                 j += 1
+            li, lj = np.divmod(np.arange(nf * nf), nf)
+            f = self.free_starts[i:j, None]
+            pos = np.where(np.abs(li - lj) <= kl,
+                           band_pos(f + li, f + lj), ab_size)
             self.groups.append(_Group(
-                nf, i,
-                slice(int(jac_off[i]), int(jac_off[j])),
-                slice(int(self.free_off[i]), int(self.free_off[j]))))
+                nf, i, slice(int(self.free_off[i]), int(self.free_off[j])),
+                pos.reshape(-1, nf, nf)))
             i = j
-
-        # Banded fast path: the block-diagonal stack is one banded
-        # matrix (bandwidth = max per-element bandwidth); a single
-        # LAPACK dgbsv factorises every circuit at once.  Partial
-        # pivoting cannot mix decoupled blocks (all cross-block
-        # candidates are exact zeros), so this is still an independent
-        # per-circuit solve, just with banded instead of dense rounding.
-        self.band = band
-        self.use_banded = (_lapack is not None and solver == "auto"
-                           and band <= AUTO_BAND_LIMIT)
-        if self.use_banded:
-            kl = ku = band
-            self.kl = kl
-            self.ab_rows = 2 * kl + ku + 1
-            self.ab_diag_col = kl + ku
-            nf_arr = np.array(nf_list, dtype=np.int64)
-
-            def to_ab(flat):
-                # Flat block-Jacobian index -> index into the
-                # (nf_total, ab_rows) transposed band storage, using
-                # A[i,j] -> ab[kl+ku+i-j, j].  Injective, so bincount
-                # accumulation order per position matches the flat form.
-                e = np.searchsorted(jac_off, flat, side="right") - 1
-                rem = flat - jac_off[e]
-                li = rem // nf_arr[e]
-                lj = rem % nf_arr[e]
-                row_g = self.free_starts[e] + li
-                col_g = self.free_starts[e] + lj
-                return col_g * self.ab_rows + (kl + ku + row_g - col_g)
-
-            self.ab_size = self.nf_total * self.ab_rows
-            # Static (resistor) stamps pre-imaged into band storage;
-            # per-iteration MOS stamps bincount straight into it.
-            self.ab_static = np.zeros(self.ab_size)
-            nz = np.nonzero(self.jac_res)[0]
-            self.ab_static[to_ab(nz)] = self.jac_res[nz]
-            self.mos_ab = to_ab(self.mos_flat)
 
     # -- element views ---------------------------------------------------
     def node_sl(self, pos: int) -> slice:
@@ -307,13 +271,17 @@ class _Pack:
             el.v = v_g[self.node_sl(pos)].copy()
 
     # -- physics ---------------------------------------------------------
-    def _eval(self, v: np.ndarray):
-        """Injected currents + flat block Jacobian, stamped in each
-        circuit's own section-major order (same bincount input order as
-        a single circuit, hence the same per-node summation order)."""
+    def _stamp(self, v: np.ndarray, g_ch: np.ndarray):
+        """Injected currents and the band-stored Newton Jacobian at
+        ``v``, with ``g_ch`` on its diagonal.
+
+        Stamped in each circuit's own section-major order: the same
+        bincount input order as a single circuit, hence the same
+        per-node and per-entry summation order.
+        """
         n = self.n_nodes
         inj = np.zeros(n)
-        jac = self.jac_res.copy()
+        ab = self.ab_static.copy()
         if self.m_d.size:
             i_ds, g_d, g_g, g_s = mos_currents(
                 v, self.m_d, self.m_g, self.m_s, self.m_p,
@@ -321,13 +289,14 @@ class _Pack:
             inj += np.bincount(self.inj_mos_idx,
                                np.concatenate([-i_ds, i_ds]), minlength=n)
             vals = np.concatenate([g_d, g_g, g_s, -g_d, -g_g, -g_s])
-            jac += np.bincount(self.mos_flat, vals[self.mos_ok],
-                               minlength=self.total_flat)
+            ab += np.bincount(self.mos_ab, vals[self.mos_ok],
+                              minlength=ab.size)
         if self.r_a.size:
             i_r = self.r_cond * (v[self.r_a] - v[self.r_b])
             inj += np.bincount(self.inj_res_idx,
                                np.concatenate([-i_r, i_r]), minlength=n)
-        return inj, jac
+        ab[self.ab_diag] += g_ch
+        return inj, ab
 
     def _g_ch(self, h: float) -> np.ndarray:
         """``cap/h`` for the free nodes, cached per step size."""
@@ -336,18 +305,17 @@ class _Pack:
             self._gch = cached = (h, self.cap_free / h)
         return cached[1]
 
-    def _dense_dv(self, jac, resid, g_ch, dv, failed) -> None:
-        """Per-circuit dense solves, grouped by matrix size.
+    def _dense_dv(self, ab, resid, failed) -> np.ndarray:
+        """Per-circuit dense solves of the blocks gathered from ``ab``,
+        grouped by matrix size.
 
         This is the bit-exact path: each block goes through the same
         LAPACK ``dgesv`` a single ``np.linalg.solve`` call would use.
         """
+        dv = np.empty(self.nf_total)
         for grp in self.groups:
-            nf = grp.nf
-            block = jac[grp.jac_sl].reshape(-1, nf, nf)
-            block[:, grp.diag, grp.diag] += \
-                g_ch[grp.free_sl].reshape(-1, nf)
-            rhs = -resid[grp.free_sl].reshape(-1, nf, 1)
+            block = ab[grp.ab_idx]
+            rhs = -resid[grp.free_sl].reshape(-1, grp.nf, 1)
             try:
                 dv[grp.free_sl] = np.linalg.solve(block, rhs).reshape(-1)
             except np.linalg.LinAlgError:
@@ -362,30 +330,7 @@ class _Pack:
                         sol[b] = 0.0
                         failed[grp.e0 + b] = True
                 dv[grp.free_sl] = sol.reshape(-1)
-
-    def _eval_banded(self, v: np.ndarray):
-        """Like :meth:`_eval` but accumulates the Jacobian straight
-        into the flat band-storage image (``(nf_total, ab_rows)`` row
-        major), skipping the full block form.  The flat->band position
-        map is injective, so every entry receives the same contributions
-        in the same order as the block form."""
-        n = self.n_nodes
-        inj = np.zeros(n)
-        ab = self.ab_static.copy()
-        if self.m_d.size:
-            i_ds, g_d, g_g, g_s = mos_currents(
-                v, self.m_d, self.m_g, self.m_s, self.m_p,
-                self.m_beta, self.m_vt, self.m_lam, self.m_ioff)
-            inj += np.bincount(self.inj_mos_idx,
-                               np.concatenate([-i_ds, i_ds]), minlength=n)
-            vals = np.concatenate([g_d, g_g, g_s, -g_d, -g_g, -g_s])
-            ab += np.bincount(self.mos_ab, vals[self.mos_ok],
-                              minlength=self.ab_size)
-        if self.r_a.size:
-            i_r = self.r_cond * (v[self.r_a] - v[self.r_b])
-            inj += np.bincount(self.inj_res_idx,
-                               np.concatenate([-i_r, i_r]), minlength=n)
-        return inj, ab
+        return dv
 
     def newton(self, v_prev: np.ndarray, src_now: np.ndarray, h: float):
         """One masked backward-Euler step of size ``h`` for every element.
@@ -408,31 +353,23 @@ class _Pack:
         vf = vv[fg]                  # free-node voltages, kept in sync
         vpf = v_prev[fg]
         n_done = 0
-        banded = self.use_banded
         for _ in range(MAX_NEWTON):
-            if banded:
-                inj, ab = self._eval_banded(vv)
-            else:
-                inj, jac = self._eval(vv)
+            inj, ab = self._stamp(vv, g_ch)
             pend = -inj[self.vdd_idx]
             resid = g_ch * (vf - vpf) - inj[fg]
-            dv = None
-            if banded:
-                abt = ab.reshape(self.nf_total, self.ab_rows)
-                abt[:, self.ab_diag_col] += g_ch
-                rhs = np.negative(resid)
-                _, _, x, info = _lapack.dgbsv(
-                    self.kl, self.kl, abt.T, rhs,
-                    overwrite_ab=1, overwrite_b=1)
-                if info == 0:
-                    dv = x
-            if dv is None:
-                # Singular pivot (or dense mode): per-circuit block
-                # solves, which also identify the failing element.
-                if banded:
-                    _, jac = self._eval(vv)
-                dv = np.empty(self.nf_total)
-                self._dense_dv(jac, resid, g_ch, dv, failed)
+            if self.dense:
+                dv = self._dense_dv(ab, resid, failed)
+            else:
+                ab_t = ab[:-1].reshape(self.nf_total, self.ab_rows).T
+                _, _, dv, info = dgbsv(self.kl, self.kl, ab_t,
+                                       np.negative(resid),
+                                       overwrite_ab=1, overwrite_b=1)
+                if info:
+                    # A singular pivot, met after dgbsv overwrote ab:
+                    # stamp again and solve block by block, which
+                    # also names the failing element.
+                    _, ab = self._stamp(vv, g_ch)
+                    dv = self._dense_dv(ab, resid, failed)
             np.maximum(dv, -0.6, out=dv)
             np.minimum(dv, 0.6, out=dv)
             done = conv | failed
@@ -546,7 +483,7 @@ class _BatchRun:
             isup_buf = np.empty((n_rec, pack.B))
 
             if seg == 0:
-                inj0, _ = pack._eval(v_g)
+                inj0, _ = pack._stamp(v_g, pack._g_ch(dt))
                 volts_buf[0] = v_g
                 isup_buf[0] = -inj0[pack.vdd_idx]
 
@@ -582,10 +519,13 @@ def simulate_batch(circuits, t_ends, dt: float = 1e-12,
     ``t_ends`` is one end time shared by every circuit or one per
     circuit; every circuit starts at 0 V and every step is recorded.
     Returns one result per circuit, in input order.
-    ``solver="dense"`` forces the per-circuit grouped solves, which are
-    bit-identical to a one-circuit-at-a-time loop; ``"auto"`` (default)
-    uses the banded stack solve for narrow-band circuits, identical
-    within solver tolerance.
+
+    Every Newton iteration stamps one Jacobian for the whole batch, in
+    band storage.  ``solver="auto"`` (default) solves it with one
+    ``dgbsv`` call, identical to the per-circuit solves within solver
+    tolerance.  ``solver="dense"`` gathers each circuit's block from
+    it and solves the blocks one by one, bit-identical to a
+    one-circuit-at-a-time loop.
     """
     if solver not in ("auto", "dense"):
         raise ValueError(f"unknown solver {solver!r}")

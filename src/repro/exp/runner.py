@@ -323,11 +323,9 @@ class ParallelRunner:
                             results[i] = self._run_inline(
                                 specs[i], keys[i], hub)
                     else:
-                        from .pool import get_pool
                         self._serve(_Batch(specs, keys, results, pending,
                                            self.cache),
-                                    get_pool(self.jobs, self.start_method),
-                                    hub, heartbeats=hub is not None)
+                                    hub=hub, heartbeats=hub is not None)
             finally:
                 if hub is not None:
                     hub.batch_finished()
@@ -368,11 +366,14 @@ class ParallelRunner:
                          seconds=seconds, error=err)
 
     # -- pooled path (warm workers, one job per dispatch) ---------------
-    def _serve(self, source: _JobSource, pl, hub=None, *,
+    def _serve(self, source: _JobSource, pl=None, hub=None, *,
                heartbeats: bool = False) -> None:
         """The pooled scheduler: run jobs from ``source`` on the warm
         pool ``pl`` (a :class:`~repro.exp.pool.PersistentPool`) as they
-        arrive.
+        arrive.  Without ``pl`` they run on the shared pool for this
+        runner's ``jobs`` (:func:`~repro.exp.pool.get_pool`), fetched
+        here so that the workers it spawns count in
+        ``exp.pool.spawns``.
 
         Each idle worker is sent the next job from ``source``; its
         result streams back as soon as it finishes and goes to
@@ -383,7 +384,8 @@ class ParallelRunner:
         once: the one re-send.  The loop sleeps in one
         ``connection.wait`` on the busy workers' pipes and the source's
         ``wake`` connection, and returns once the source has closed and
-        every job taken from it has finished.  The caller owns ``pl``.
+        every job taken from it has finished.  A caller that passes
+        ``pl`` owns it.
 
         ``hub`` (a :class:`~repro.obs.live.TelemetryHub`) gets the job
         lifecycle and every span the running jobs open or close.  With
@@ -396,6 +398,8 @@ class ParallelRunner:
 
         ms = obs.metrics.metric_set()
         spawned_before = pool_mod.spawn_count()
+        if pl is None:
+            pl = pool_mod.get_pool(self.jobs, self.start_method)
         heartbeat_s = hub.hb_interval_s if heartbeats else None
         settings = _WorkerSettings.snapshot(
             live_spans=source.live_spans or hub is not None,

@@ -46,13 +46,14 @@ without flags; :func:`set_enabled` turns the span layer off entirely
 (spans become shared no-ops).
 """
 
+import importlib
+
 from . import chrometrace, compare as compare_mod
-from . import dashboard, live, metrics, rundb
+from . import live, metrics
 from .chrometrace import chrome_trace_events, write_chrome_trace
 from .compare import (MetricDelta, compare_rows, default_golden_path,
                       gated_regressions, golden_flow_rows,
                       render_compare)
-from .dashboard import render_report
 from .live import (ENV_TELEMETRY, TelemetryEmitter, TelemetryHub,
                    session_hub)
 from .metrics import (MetricRegistry, MetricSet, MetricSpec, REGISTRY,
@@ -60,10 +61,18 @@ from .metrics import (MetricRegistry, MetricSet, MetricSpec, REGISTRY,
 from .report import (TraceReadError, aggregate, build_tree,
                      format_seconds, load_jsonl, render_stats,
                      render_tree)
-from .rundb import RunDB, RunRow, default_db_path
 from .trace import (NOOP_SPAN, Span, Tracer, adopt, capture,
                     current_span, default_tracer, emit, enabled,
                     set_enabled, span, tracer)
+
+#: The run history's names -> the submodule that defines them.  They
+#: load on first access: the run DB and the dashboard import sqlite3,
+#: subprocess and html, which only the history commands use.
+_SOURCES = {
+    **dict.fromkeys(("RunDB", "RunRow", "default_db_path", "rundb"),
+                    "rundb"),
+    **dict.fromkeys(("dashboard", "render_report"), "dashboard"),
+}
 
 __all__ = [
     "ENV_TELEMETRY", "NOOP_SPAN",
@@ -80,3 +89,12 @@ __all__ = [
     "rundb", "session_hub", "set_enabled", "span", "tracer",
     "write_chrome_trace",
 ]
+
+
+def __getattr__(name):
+    source = _SOURCES.get(name)
+    if source is None:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f".{source}", __name__)
+    return module if name == source else getattr(module, name)

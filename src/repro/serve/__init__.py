@@ -6,13 +6,28 @@
     repro-flow fetch <artifact-hash>
 
 See :mod:`repro.serve.server` for the endpoint contract.
+
+Each name loads its submodule on first access, so a client command
+does not load the daemon (asyncio, multiprocessing, the engine).
 """
 
-from .artifacts import ArtifactStore, is_artifact_hash
-from .client import ServiceClient, ServiceError
-from .jobs import Job, QueueStore, QuotaExceeded, TenantQueue
-from .server import DEFAULT_PORT, JobServer
+import importlib
 
-__all__ = ["ArtifactStore", "DEFAULT_PORT", "Job", "JobServer",
-           "QueueStore", "QuotaExceeded", "ServiceClient",
-           "ServiceError", "TenantQueue", "is_artifact_hash"]
+#: Public name -> the submodule that defines it.
+_SOURCES = {
+    **dict.fromkeys(("ArtifactStore", "is_artifact_hash"), "artifacts"),
+    **dict.fromkeys(("ServiceClient", "ServiceError"), "client"),
+    **dict.fromkeys(("Job", "QueueStore", "QuotaExceeded",
+                     "TenantQueue"), "jobs"),
+    **dict.fromkeys(("DEFAULT_PORT", "JobServer"), "server"),
+}
+
+__all__ = sorted(_SOURCES)
+
+
+def __getattr__(name):
+    source = _SOURCES.get(name)
+    if source is None:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{source}", __name__), name)

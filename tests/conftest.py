@@ -9,6 +9,12 @@ developer's real QoR history, so every test gets a throwaway DB path
 by default; tests that exercise the DB explicitly pass their own
 ``--run-db``.
 
+The whole session also runs with ``HOME`` in a pytest temp dir: a
+``FlowOptions()``, ``DesignFlow()`` or ``ResultCache()`` built in code
+keeps its results under ``~/.cache/repro-exp`` whatever the
+environment says, and the suite must neither read the developer's
+result cache warm nor fill it.
+
 Hypothesis profiles: the property suites (chipdb round-trip) register
 a bounded ``ci`` profile -- few examples, no deadline -- so the fast
 ``-m 'not slow'`` CI leg stays time-bounded, and a ``thorough``
@@ -17,6 +23,7 @@ profile for local soak runs.  Select with ``HYPOTHESIS_PROFILE=ci``
 """
 
 import os
+import site
 
 import pytest
 
@@ -33,6 +40,17 @@ try:
         settings.load_profile(os.environ["HYPOTHESIS_PROFILE"])
 except ImportError:                       # pragma: no cover
     pass                                  # property suites self-skip
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _private_home(tmp_path_factory):
+    # Session-scoped, so class-scoped fixtures see it too.  The user
+    # base is pinned first, so subprocesses still find user-installed
+    # packages.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONUSERBASE", site.getuserbase())
+        mp.setenv("HOME", str(tmp_path_factory.mktemp("home")))
+        yield
 
 
 @pytest.fixture(autouse=True)

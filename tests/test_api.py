@@ -279,16 +279,20 @@ class TestSubmitFacade:
 
 # ---------------------------------------------------------------------------
 # Import boundary: library code, job keys and client commands load no
-# flow; flow and service processes never load the transient engine or
-# SciPy; the paper studies still do
+# flow, and no daemon or run history; flow and service processes never
+# load the transient engine or SciPy; the paper studies still do
 # ---------------------------------------------------------------------------
 
 _BOUNDARY_PROBE = """
 import sys
 
 import repro, repro.api, repro.exp, repro.flow.cli, repro.obs, repro.serve
+import repro.serve.client
 from repro import api
 from repro.exp import JobSpec
+
+for mod in ("asyncio", "sqlite3", "repro.serve.server"):
+    assert mod not in sys.modules, f"a client command loaded {mod}"
 
 request = api.JobRequest(kind="flow", blif=sys.argv[1])
 JobSpec.make("submit", request=request, config=api.Config()).key()
@@ -309,7 +313,8 @@ import repro.circuit.experiments
 for mod in ("scipy", "repro.circuit.batchsim"):
     assert mod in sys.modules, f"the paper studies did not load {mod}"
 assert repro.circuit.simulate_batch is repro.circuit.batchsim.simulate_batch
-for package in ("repro.circuit", "repro.flow", "repro.bitgen"):
+for package in ("repro.circuit", "repro.flow", "repro.bitgen", "repro.obs",
+                "repro.serve"):
     names = {}
     exec(f"from {package} import *", names)
     missing = set(sys.modules[package].__all__) - set(names)

@@ -24,7 +24,7 @@ import pytest
 from repro import obs
 from repro.exp import (JobError, JobFailedError, JobSpec, NullCache,
                       ParallelRunner, PersistentPool, ResultCache,
-                      get_pool)
+                      get_pool, shutdown_pools)
 from repro.exp.tasks import task
 
 pytestmark = pytest.mark.skipif(
@@ -281,6 +281,17 @@ class TestPoolFaultMatrix:
         assert [r.unwrap() for r in results] == [0.0, 2.0, 4.0, 6.0]
         assert ms.value("exp.pool.spawns") == 1
         assert sent[0] == sent[1] and len(sent) == len(specs) + 1
+
+    def test_batch_that_creates_the_pool_counts_its_spawns(self):
+        shutdown_pools()
+        specs = [JobSpec.make("selftest", x=float(t)) for t in range(4)]
+        runner = ParallelRunner(jobs=2, cache=NullCache())
+        with obs.metrics.collect() as first:
+            runner.run(specs)
+        with obs.metrics.collect() as second:
+            runner.run(specs)
+        assert first.get("exp.pool.spawns") == 2
+        assert second.get("exp.pool.spawns") is None
 
     def test_pool_worker_reuse_across_batches(self, tmp_path):
         specs = [JobSpec.make("_test_quick", tag=t) for t in range(6)]

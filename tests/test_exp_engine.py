@@ -23,7 +23,8 @@ from repro.circuit.flipflops import DETFF_VARIANTS
 from repro.circuit.technology import STM018
 from repro.exp import (JobError, JobFailedError, JobSpec, NullCache,
                        ParallelRunner, ResultCache, canonical_json,
-                       default_runner, repro_code_version)
+                       default_cache_dir, default_runner,
+                       repro_code_version)
 from repro.exp.tasks import execute, registered_kinds, task
 from repro.flow.flow import DesignFlow, FlowOptions
 from tests.test_flow import COUNTER_VHDL
@@ -133,6 +134,12 @@ class TestResultCache:
         cache.put("ef" + "2" * 62, "value")
         hit, _ = cache.get("ef" + "2" * 62)
         assert not hit and len(cache) == 0
+
+    def test_suite_default_cache_is_a_temp_dir(self, tmp_path_factory):
+        # tests/conftest.py moves HOME, so a cache built without a root
+        # stays out of the developer's ~/.cache/repro-exp.
+        assert default_cache_dir().is_relative_to(
+            tmp_path_factory.getbasetemp())
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +280,7 @@ UNSHARDED = {
 #: a shard's batch at different steps.
 SHARD_STUDIES = {
     "table1": lambda r: run_table1(dt=4e-12, runner=r),
+    "table2": lambda r: run_table2(dt=4e-12, runner=r),
     "table3": lambda r: run_table3(dt=4e-12, runner=r),
     "fig8_pass": lambda r: run_fig_sweep(
         "fig8", widths=[1.0, 4.0, 64.0], wire_lengths=[1, 8], dt=8e-12,

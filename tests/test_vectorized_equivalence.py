@@ -27,12 +27,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
+from scipy.linalg.lapack import dgbsv
 
 from repro.arch import DEFAULT_ARCH, build_rr_graph
 from repro.arch.fabric import Site
 from repro.bench import counter, random_logic
 from repro.circuit import (Circuit, NewtonConvergenceError, STM018,
-                           simulate, simulate_batch)
+                           batchsim, simulate, simulate_batch)
 from repro.circuit.cells import inverter, pass_nmos
 from repro.circuit.clockgate import build_ble_clock
 from repro.circuit.experiments import _detff_circuit
@@ -167,6 +168,43 @@ class TestTransientEquivalence:
                 assert np.array_equal(rs.voltages, r.voltages)
                 assert np.array_equal(rs.supply_current,
                                       r.supply_current)
+
+    def test_wide_band_pack_band_solves(self, monkeypatch):
+        """solver="auto" solves every pack with one dgbsv call per
+        Newton iteration, the Table 1 DETFF's band-14 stack included,
+        within solver tolerance of the reference loop."""
+        bands = []
+
+        def recording_dgbsv(kl, ku, *args, **kwargs):
+            bands.append((kl, ku))
+            return dgbsv(kl, ku, *args, **kwargs)
+
+        monkeypatch.setattr(batchsim, "dgbsv", recording_dgbsv)
+        ble = build_ble_clock(gated=True, enable=1)
+        ckts, t_ends = zip(_detff_circuit("chung1", STM018),
+                           (ble.circuit, ble.t_sim))
+        _assert_within_tol(list(ckts), list(t_ends), dt=4e-12)
+        assert bands[0] == (14, 14)
+
+    def test_singular_band_pivot_takes_the_dense_solves(self,
+                                                       monkeypatch):
+        """A singular pivot in the stack's dgbsv, which has already
+        overwritten the band storage, re-stamps the Jacobian and
+        solves block by block: the dense batch, bit for bit."""
+        ckts = [_rc_circuit(([5, 20], [30, 80], 150))[0],
+                _pass_circuit(([2, 6], 25))[0]]
+        dense = simulate_batch(ckts, 4e-9, dt=4e-12, solver="dense")
+
+        def singular_dgbsv(kl, ku, ab, b, **kwargs):
+            ab[...] = np.nan
+            b[...] = np.nan
+            return ab, np.zeros(b.size, dtype=np.int32), b, 1
+
+        monkeypatch.setattr(batchsim, "dgbsv", singular_dgbsv)
+        auto = simulate_batch(ckts, 4e-9, dt=4e-12)
+        for rd, ra in zip(dense, auto):
+            assert np.array_equal(rd.voltages, ra.voltages)
+            assert np.array_equal(rd.supply_current, ra.supply_current)
 
     def test_heterogeneous_batch_time_axes(self):
         """Mixed step counts repack correctly mid-batch."""
